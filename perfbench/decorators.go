@@ -20,11 +20,13 @@ import (
 // sched.Stateful, and a decorator that hid one of them would change EDS
 // utilities, masks or scheduling without any error.
 
-// tracedSelector times Select calls.
+// tracedSelector times Select calls and counts the samples scored and the
+// training batches the selection leads to (epochs × batches of the selected
+// samples), which sizes the nn per-layer timings against a round.
 type tracedSelector struct {
-	inner       selection.Selector
-	tr          *tracer
-	lane, depth int
+	inner               selection.Selector
+	tr                  *tracer
+	lane, depth, epochs int
 }
 
 // tracedUtilitySelector adds the UtilityScorer extension of its inner
@@ -35,11 +37,12 @@ type tracedUtilitySelector struct {
 }
 
 // traceSelector wraps sel when tr records spans; otherwise it returns sel.
-func traceSelector(sel selection.Selector, tr *tracer, lane, depth int) selection.Selector {
+// epochs is the local epochs the selected samples are trained for.
+func traceSelector(sel selection.Selector, tr *tracer, lane, depth, epochs int) selection.Selector {
 	if tr == nil || !tr.full {
 		return sel
 	}
-	base := &tracedSelector{inner: sel, tr: tr, lane: lane, depth: depth}
+	base := &tracedSelector{inner: sel, tr: tr, lane: lane, depth: depth, epochs: epochs}
 	if us, ok := sel.(selection.UtilityScorer); ok {
 		return tracedUtilitySelector{base, us}
 	}
@@ -52,25 +55,27 @@ func (s *tracedSelector) ScoringPasses() int { return s.inner.ScoringPasses() }
 func (s *tracedSelector) Select(m *models.Model, ds *data.Dataset, fraction float64, rng *rand.Rand) ([]int, error) {
 	t0 := s.tr.now()
 	idx, err := s.inner.Select(m, ds, fraction, rng)
-	s.done(t0, ds)
+	s.done(t0, ds, len(idx))
 	return idx, err
 }
 
 func (s tracedUtilitySelector) SelectWithUtility(m *models.Model, ds *data.Dataset, fraction float64, rng *rand.Rand) ([]int, float64, error) {
 	t0 := s.tr.now()
 	idx, u, err := s.us.SelectWithUtility(m, ds, fraction, rng)
-	s.done(t0, ds)
+	s.done(t0, ds, len(idx))
 	return idx, u, err
 }
 
-func (s *tracedSelector) done(t0 int64, ds *data.Dataset) {
+func (s *tracedSelector) done(t0 int64, ds *data.Dataset, selected int) {
 	s.tr.record("selection.select", s.lane, s.depth, t0)
 	s.tr.count("selection.scored_samples", float64(ds.Len()*s.inner.ScoringPasses()))
+	s.tr.count("nn.train_batches", float64(s.epochs*((selected+trainBatch-1)/trainBatch)))
 }
 
 // clockedStrategy marks a round boundary at the end of every ApplyAggregate
-// call, which every engine makes once per round. It is installed in untraced
-// runs too, where it records nothing else.
+// call, which every engine makes once per round, and then runs the speed
+// reference (see calibrate.go). It is installed in untraced runs too, where
+// it records nothing else.
 type clockedStrategy struct {
 	inner strategy.Strategy
 	tr    *tracer
@@ -124,6 +129,7 @@ func (s *clockedStrategy) ApplyAggregate(global, avg []*tensor.Tensor) error {
 	t0 := s.tr.now()
 	err := s.inner.ApplyAggregate(global, avg)
 	s.tr.mark(s.tr.record("strategy.apply", 0, 1, t0))
+	s.tr.reference()
 	return err
 }
 

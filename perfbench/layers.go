@@ -12,9 +12,9 @@ import (
 	"fedfteds/internal/tensor"
 )
 
-// layerBatch is the batch size of the per-layer timings: the local-training
-// batch size every engine uses.
-const layerBatch = 32
+// trainBatch is the local-training batch size every engine uses (core's
+// default), and the batch size of the per-layer timings.
+const trainBatch = 32
 
 // timeCall returns the median per-call time of f in µs over a few blocks of
 // calls, after a warm-up.
@@ -92,7 +92,7 @@ func layerTimes(m *models.Model) (map[string]float64, error) {
 			default:
 				return
 			}
-			x, dy := randn(rng, layerBatch, in), randn(rng, layerBatch, outW)
+			x, dy := randn(rng, trainBatch, in), randn(rng, trainBatch, outW)
 			out["nn."+kind+".fwd_us"] += timeCall(func() { l.Forward(x, true) })
 			l.Forward(x, true)
 			out["nn."+kind+".bwd_us"] += timeCall(func() { l.Backward(dy, true) })
@@ -100,8 +100,8 @@ func layerTimes(m *models.Model) (map[string]float64, error) {
 		})
 	}
 
-	logits := randn(rng, layerBatch, spec.NumClasses)
-	labels := make([]int, layerBatch)
+	logits := randn(rng, trainBatch, spec.NumClasses)
+	labels := make([]int, trainBatch)
 	for i := range labels {
 		labels[i] = rng.Intn(spec.NumClasses)
 	}
@@ -127,7 +127,7 @@ func layerTimes(m *models.Model) (map[string]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	x := randn(rng, layerBatch, spec.InputShape[0])
+	x := randn(rng, trainBatch, spec.InputShape[0])
 	out["models.eval_forward_us"] = timeCall(func() { eval.Forward(x, false) })
 	return out, nil
 }

@@ -7,7 +7,9 @@
 //
 // Each run sets the workload up several times (setup_s is the median) and
 // then repeats the workload's deterministic episode until --seconds have
-// passed. Every episode must end in the same History and model digest. A
+// passed. Timing metrics are reported at the speed of a fixed reference
+// kernel run between rounds (calibrate.go), which cancels the drift of a
+// shared machine. Every episode must end in the same History and model digest. A
 // traced run alternates untraced and traced episodes, so the tracing overhead
 // and the traced-equals-untraced check come from the same process.
 //
@@ -85,6 +87,7 @@ var perLayerMetrics = []metricDef{
 	{"nn.loss_us", "us", "lower"},
 	{"opt.sgd_step_us", "us", "lower"},
 	{"models.eval_forward_us", "us", "lower"},
+	{"nn.train_batches", "count", "lower"},
 	{"selection.select_ms", "ms", "lower"},
 	{"selection.scored_samples", "count", "lower"},
 	{"metrics.accuracy_ms", "ms", "lower"},
@@ -271,9 +274,11 @@ type result struct {
 	TracedEpisodes  int                `json:"traced_episodes"`
 	Rounds          int                `json:"rounds"`
 	SetupSeconds    []float64          `json:"setup_seconds"`
+	ReferenceMs     float64            `json:"reference_ms"`
 	Attempted       int                `json:"attempted"`
 	Failed          int                `json:"failed"`
 	EndToEnd        map[string]value   `json:"end_to_end"`
+	EndToEndRaw     map[string]value   `json:"end_to_end_measured"`
 	EndToEndTraced  map[string]value   `json:"end_to_end_traced,omitempty"`
 	PerLayer        map[string]value   `json:"per_layer,omitempty"`
 	LayerBusyMs     map[string]float64 `json:"layer_busy_ms_per_round,omitempty"`
@@ -325,16 +330,20 @@ func measure(o options) (*result, error) {
 	res := &result{Stamp: newStamp(o.seed), Workload: w.name, Trace: o.trace}
 
 	var wd world
-	var fleetNewMs []float64
+	var fleetNewMs, setupAtRef []float64
 	for i := 0; i < setupRepeats; i++ {
 		wd = nil // the previous world is garbage before the next setup is timed
 		runtime.GC()
+		ref := refSampleMs() + refSampleMs()
 		t0 := time.Now()
 		next, err := w.setup(o.seed)
 		if err != nil {
 			return nil, fmt.Errorf("%s setup: %w", w.name, err)
 		}
-		res.SetupSeconds = append(res.SetupSeconds, time.Since(t0).Seconds())
+		took := time.Since(t0).Seconds()
+		ref += refSampleMs() + refSampleMs()
+		res.SetupSeconds = append(res.SetupSeconds, took)
+		setupAtRef = append(setupAtRef, took*refNominalMs/(ref/4))
 		if fw, ok := next.(*fleetWorld); ok {
 			fleetNewMs = append(fleetNewMs, fw.newMs)
 		}
@@ -399,9 +408,9 @@ func measure(o options) (*result, error) {
 	}
 
 	rss := peakRSSMiB()
-	res.EndToEnd, res.Rounds = endToEnd(plain, res.SetupSeconds, rss)
+	res.EndToEnd, res.EndToEndRaw, res.Rounds, res.ReferenceMs = endToEnd(plain, setupAtRef, res.SetupSeconds, rss)
 	if o.trace {
-		res.EndToEndTraced, _ = endToEnd(traced, res.SetupSeconds, rss)
+		res.EndToEndTraced, _, _, _ = endToEnd(traced, setupAtRef, res.SetupSeconds, rss)
 		if err := res.perLayer(wd, traced, fleetNewMs); err != nil {
 			return nil, err
 		}
@@ -426,27 +435,37 @@ func (r *result) addCheck(name string, ok bool, detail string) {
 	r.Checks = append(r.Checks, check{name, ok, detail})
 }
 
-// endToEnd computes the end-to-end metrics of a set of episodes. It also
-// returns the round count.
-func endToEnd(eps []*episode, setupS []float64, rssMiB float64) (map[string]value, int) {
+// endToEnd computes the end-to-end metrics of a set of episodes, at
+// reference speed and as measured (see calibrate.go); setupAtRef and
+// setupRaw are the setup times both ways. It also returns the round count
+// and the mean reference time.
+func endToEnd(eps []*episode, setupAtRef, setupRaw []float64, rssMiB float64) (atRef, raw map[string]value, rounds int, refMs float64) {
 	var walls, rates []float64
-	var wire int64
-	var rounds, attempted, failed int
+	var wire, refNs int64
+	var attempted, failed, refs int
 	for _, ep := range eps {
 		b := ep.bounds
+		var epNs int64
 		for i := 1; i < len(b); i++ {
-			walls = append(walls, float64(b[i]-b[i-1])/1e6)
+			ns := b[i] - b[i-1] - overlap(b[i-1], b[i], ep.refs)
+			walls = append(walls, float64(ns)/1e6)
+			epNs += ns
 		}
-		rates = append(rates, float64(ep.rounds)/(float64(b[len(b)-1]-b[0])/1e9))
+		rates = append(rates, float64(ep.rounds)/(float64(epNs)/1e9))
+		for _, r := range ep.refs {
+			refNs += r.end - r.start
+		}
+		refs += len(ep.refs)
 		wire += ep.wireBytes
 		rounds += ep.rounds
 		attempted += ep.attempted
 		failed += ep.failed
 	}
+	refMs = float64(refNs) / 1e6 / float64(refs)
 	sort.Float64s(walls)
 	tailIdx := min(int(math.Ceil(tailPercentile/100.0*float64(len(walls))))-1, len(walls)-1)
-	out := map[string]value{
-		"setup_s":              {median(setupS), "s"},
+	raw = map[string]value{
+		"setup_s":              {median(setupRaw), "s"},
 		"rounds_per_s":         {median(rates), "1/s"},
 		"round_p50_ms":         {median(walls), "ms"},
 		"round_tail_ms":        {walls[tailIdx], "ms"},
@@ -455,7 +474,16 @@ func endToEnd(eps []*episode, setupS []float64, rssMiB float64) (map[string]valu
 		"peak_rss_mib":         {rssMiB, "MiB"},
 		"success_ratio":        {1 - float64(failed)/float64(attempted), "ratio"},
 	}
-	return out, len(walls)
+	scale := refNominalMs / refMs
+	atRef = map[string]value{}
+	for k, v := range raw {
+		atRef[k] = v
+	}
+	atRef["setup_s"] = value{median(setupAtRef), "s"}
+	atRef["rounds_per_s"] = value{raw["rounds_per_s"].Value / scale, "1/s"}
+	atRef["round_p50_ms"] = value{raw["round_p50_ms"].Value * scale, "ms"}
+	atRef["round_tail_ms"] = value{raw["round_tail_ms"].Value * scale, "ms"}
+	return atRef, raw, len(walls), refMs
 }
 
 // perLayer fills the per-layer metrics from the traced episodes, the
@@ -465,7 +493,7 @@ func (r *result) perLayer(wd world, traced []*episode, fleetNewMs []float64) err
 	counts, stats := map[string]float64{}, map[string]float64{}
 	var evalMs []float64
 	for _, ep := range traced {
-		b.add(ep.bounds, ep.spans)
+		b.add(ep.bounds, ep.spans, ep.refs)
 		for k, v := range ep.counts {
 			counts[k] += v
 		}
@@ -485,6 +513,7 @@ func (r *result) perLayer(wd world, traced []*episode, fleetNewMs []float64) err
 		return fmt.Errorf("per-layer timings: %w", err)
 	}
 	set := func(name string, v float64) { pl[name] = v }
+	set("nn.train_batches", counts["nn.train_batches"]/rounds)
 	set("selection.select_ms", b.perRound("selection.select"))
 	set("selection.scored_samples", counts["selection.scored_samples"]/rounds)
 	if b.calls["metrics.accuracy"] > 0 {

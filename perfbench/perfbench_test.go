@@ -19,10 +19,10 @@ type bareStrategy struct{ strategy.Strategy }
 func TestDecoratorsForwardOptionalInterfaces(t *testing.T) {
 	tr := newTracer(true)
 
-	if _, ok := traceSelector(selection.Entropy{Temperature: 0.1}, tr, 0, 1).(selection.UtilityScorer); !ok {
+	if _, ok := traceSelector(selection.Entropy{Temperature: 0.1}, tr, 0, 1, 5).(selection.UtilityScorer); !ok {
 		t.Error("traced EDS selector hides selection.UtilityScorer")
 	}
-	if _, ok := traceSelector(selection.Random{}, tr, 0, 1).(selection.UtilityScorer); ok {
+	if _, ok := traceSelector(selection.Random{}, tr, 0, 1, 5).(selection.UtilityScorer); ok {
 		t.Error("traced random selector claims selection.UtilityScorer")
 	}
 
@@ -107,14 +107,15 @@ func TestBreakdownAttribution(t *testing.T) {
 	const ms = int64(1e6)
 	// Round 1 spans [0, 10ms): an outer span [1, 7) on lane 0 holding a
 	// nested span [2, 4), and a span on lane 1 over [3, 5) at the nested
-	// depth. Round 2 spans [10, 20) with no spans at all.
+	// depth. Round 2 spans [10, 20) with no spans, only a speed-reference run
+	// over [12, 13), which belongs to no round.
 	spans := []span{
 		{name: "outer", lane: 0, depth: 1, start: 1 * ms, end: 7 * ms},
 		{name: "inner", lane: 0, depth: 2, start: 2 * ms, end: 4 * ms},
 		{name: "client", lane: 1, depth: 2, start: 3 * ms, end: 5 * ms},
 	}
 	b := newBreakdown()
-	b.add([]int64{0, 10 * ms, 20 * ms}, spans)
+	b.add([]int64{0, 10 * ms, 20 * ms}, spans, []span{{start: 12 * ms, end: 13 * ms}})
 	want := map[string]float64{
 		"inner":  1 + 0.5, // alone over [2,3), shared with client over [3,4)
 		"client": 0.5 + 1, // shared over [3,4), deepest alone over [4,5)
@@ -125,13 +126,13 @@ func TestBreakdownAttribution(t *testing.T) {
 			t.Errorf("%s attributed %v ms, want %v", name, got, w)
 		}
 	}
-	if math.Abs(b.selfMs-(4+10)) > 1e-9 {
-		t.Errorf("self %v ms, want 14", b.selfMs)
+	if math.Abs(b.selfMs-(4+9)) > 1e-9 {
+		t.Errorf("self %v ms, want 13", b.selfMs)
 	}
 	if math.Abs(b.laneBusyMs[1]-2) > 1e-9 {
 		t.Errorf("lane 1 busy %v ms, want 2", b.laneBusyMs[1])
 	}
-	if b.rounds != 2 || b.wallMs != 20 || b.covMin != 1 || b.covMax != 1 || b.outsideMs != 0 {
+	if b.rounds != 2 || b.wallMs != 19 || b.covMin != 1 || b.covMax != 1 || b.outsideMs != 0 {
 		t.Errorf("rounds %d wall %v coverage [%v, %v] outside %v", b.rounds, b.wallMs, b.covMin, b.covMax, b.outsideMs)
 	}
 	if got := b.perCall("outer"); got != 6 {

@@ -90,11 +90,18 @@ def render(manifest):
                   f"{st['go_version']}, tensor kernel `{st['kernel']}`, seed {st['seed']}, "
                   f"commit `{st['commit']}`, source `{st['source_sha']}`.", '',
                   '## End to end (untraced runs)', '',
+                  "Times are at reference speed (see perfbench/calibrate.go); measured values in parentheses.", '',
                   '| metric | unit | ' + ' | '.join(names) + ' |',
                   '|---|---|' + '---:|' * len(names)]
         for m in manifest['end_to_end']:
-            row = [fmt(res[w]['untraced']['end_to_end'][m['name']]['value']) for w in names]
+            row = []
+            for w in names:
+                u = res[w]['untraced']
+                v, raw = u['end_to_end'][m['name']]['value'], u['end_to_end_measured'][m['name']]['value']
+                row.append(fmt(v) if v == raw else f'{fmt(v)} ({fmt(raw)})')
             lines.append(f"| {m['name']} | {m['unit']} | " + ' | '.join(row) + ' |')
+        row = [fmt(res[w]['untraced']['reference_ms']) for w in names]
+        lines.append('| reference kernel, mean | ms | ' + ' | '.join(row) + ' |')
         row = [str(res[w]['untraced']['rounds']) for w in names]
         lines.append('| rounds measured (round_tail_ms is their p95) | count | ' + ' | '.join(row) + ' |')
         lines += ['', '## Tracing overhead (traced minus untraced episodes of the traced run)', '',
@@ -116,6 +123,17 @@ def render(manifest):
                 v = res[w]['traced']['per_layer'][m['name']]['value']
                 row.append('-' if v == 0 and not m['name'].startswith('trace.') else fmt(v))
             lines.append(f"| {m['name']} | {m['unit']} | " + ' | '.join(row) + f" | {should_move(m['name'])} |")
+        lines += ['', 'Sizing the `nn` layers against a round: `nn.train_batches` × the per-batch timings '
+                  '(every dense, batch-norm and ReLU forward and backward, the loss and the SGD step; an '
+                  'upper bound, since frozen groups skip their backward pass):', '']
+        step = [k for k in res[names[0]]['traced']['per_layer']
+                if k.startswith('nn.') and k.endswith('_us') or k == 'opt.sgd_step_us']
+        for w in names:
+            pl = res[w]['traced']['per_layer']
+            est = pl['nn.train_batches']['value'] * sum(pl[k]['value'] for k in step) / 1e3
+            wall = pl['trace.round_wall_ms']['value']
+            lines.append(f"- {w}: {fmt(pl['nn.train_batches']['value'])} batches x "
+                         f"{fmt(sum(pl[k]['value'] for k in step))} us = {fmt(est)} ms of a {fmt(wall)} ms round")
         lines += ['', '## Where a round goes (traced run, ms per round)', '',
                   'Each instant of a round is split equally among the deepest traced calls active then;',
                   '`core.self` is the time no traced call covers. The shares add up to the round.', '']

@@ -28,6 +28,7 @@ type tracer struct {
 	mu     sync.Mutex
 	spans  []span
 	marks  []int64 // end of every ApplyAggregate call, one per round
+	refs   []span  // speed-reference runs, excluded from the rounds' time
 	counts map[string]float64
 }
 
@@ -64,6 +65,19 @@ func (t *tracer) mark(at int64) {
 	}
 	t.mu.Lock()
 	t.marks = append(t.marks, at)
+	t.mu.Unlock()
+}
+
+// reference runs the speed-reference kernel and records when it ran.
+func (t *tracer) reference() {
+	if t == nil {
+		return
+	}
+	start := t.now()
+	refKernel()
+	end := t.now()
+	t.mu.Lock()
+	t.refs = append(t.refs, span{start: start, end: end})
 	t.mu.Unlock()
 }
 
@@ -125,8 +139,9 @@ func newBreakdown() *breakdown {
 		calls: map[string]int{}, laneBusyMs: map[int]float64{}, covMin: 1, covMax: 1}
 }
 
-// add folds one episode's spans, split at the round bounds, into b.
-func (b *breakdown) add(bounds []int64, spans []span) {
+// add folds one episode's spans, split at the round bounds, into b. The
+// refs intervals are not part of any round.
+func (b *breakdown) add(bounds []int64, spans, refs []span) {
 	const ms = 1e6
 	var spanTotal, inside float64
 	for _, s := range spans {
@@ -198,7 +213,7 @@ func (b *breakdown) add(bounds []int64, spans []span) {
 				inside += float64(e.at)
 			}
 		}
-		wall := float64(hi - lo)
+		wall := float64(hi - lo - overlap(lo, hi, refs))
 		self := wall - union
 		b.selfMs += self / ms
 		b.wallMs += wall / ms

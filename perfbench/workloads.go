@@ -61,6 +61,7 @@ type episode struct {
 	rounds            int
 	bounds            []int64 // rounds+1 boundaries, ns since the tracer origin; nil for bare runs
 	spans             []span
+	refs              []span // speed-reference runs inside the rounds' bounds
 	counts            map[string]float64
 	initAcc, finalAcc float64
 	wireBytes         int64
@@ -102,7 +103,7 @@ func (e *episode) finish(tr *tracer, start, end int64, hist core.History, global
 	if !ok {
 		return fmt.Errorf("%d ApplyAggregate calls for %d rounds", len(tr.marks), e.rounds)
 	}
-	e.bounds, e.spans, e.counts = bounds, tr.spans, tr.counts
+	e.bounds, e.spans, e.refs, e.counts = bounds, tr.spans, tr.refs, tr.counts
 	return nil
 }
 
@@ -192,7 +193,7 @@ func (w *simWorld) run(tr *tracer) (*episode, error) {
 		LR:             clientLR,
 		Momentum:       clientMomentum,
 		FinetunePart:   models.FinetuneModerate,
-		Selector:       traceSelector(selection.Entropy{Temperature: edsTemperature}, tr, 0, 1),
+		Selector:       traceSelector(selection.Entropy{Temperature: edsTemperature}, tr, 0, 1, w.env.Dims.LocalEpochs),
 		SelectFraction: edsFraction,
 		Strategy:       clockStrategy(strategy.FedAvg(), tr),
 		Seed:           tensor.DeriveSeed(uint64(w.seed), 0x51DE),
@@ -438,7 +439,7 @@ func (w *tcpWorld) client(addr string, id int, tr *tracer, downlink *int64) erro
 		return err
 	}
 	defer sess.Close()
-	selector := traceSelector(selection.Entropy{Temperature: edsTemperature}, tr, lane, 3)
+	selector := traceSelector(selection.Entropy{Temperature: edsTemperature}, tr, lane, 3, tcpEpochs)
 	for {
 		rs, ok, err := sess.NextRound()
 		if err != nil {
@@ -588,7 +589,7 @@ func (w *fleetWorld) run(tr *tracer) (*episode, error) {
 		LR:             clientLR,
 		Momentum:       clientMomentum,
 		FinetunePart:   models.FinetuneFull,
-		Selector:       traceSelector(selection.Entropy{Temperature: edsTemperature}, tr, 0, 1),
+		Selector:       traceSelector(selection.Entropy{Temperature: edsTemperature}, tr, 0, 1, w.env.Dims.LocalEpochs),
 		SelectFraction: edsFraction,
 		Scheduler:      traceScheduler(trace.Scheduler(inner), tr),
 		CohortSize:     fleetCohort,
