@@ -103,7 +103,7 @@ def render(manifest):
         row = [fmt(res[w]['untraced']['reference_ms']) for w in names]
         lines.append('| reference kernel, mean | ms | ' + ' | '.join(row) + ' |')
         row = [str(res[w]['untraced']['rounds']) for w in names]
-        lines.append('| rounds measured (round_tail_ms is their p95) | count | ' + ' | '.join(row) + ' |')
+        lines.append('| rounds measured (round_tail_ms is their p90) | count | ' + ' | '.join(row) + ' |')
         lines += ['', '## Tracing overhead (traced minus untraced episodes of the traced run)', '',
                   '| metric | unit | ' + ' | '.join(names) + ' |', '|---|---|' + '---:|' * len(names)]
         for m in ('rounds_per_s', 'round_p50_ms', 'round_tail_ms'):
