@@ -1,7 +1,5 @@
 package main
 
-import "time"
-
 // Speed reference. The machine this benchmark was built on is shared and its
 // speed drifts: within a run, rounds switch between a fast state and one about
 // 1.5× slower, and over minutes the mix moved the same code's round times by
@@ -9,9 +7,11 @@ import "time"
 // kernel once per round, right after ApplyAggregate and outside the round's
 // measured time, and each run reports its times at reference speed:
 //
-//	reported = measured × refNominalMs / mean(reference times of the run)
+//	reported = measured × refNominalMs / median(reference times of the run)
 //
-// The kernel is plain Go that no change to the program touches, so a faster
+// The median, over hundreds of reference runs, is not moved by the odd run
+// that the host stalls. Setup times are scaled by the same factor. The
+// kernel is plain Go that no change to the program touches, so a faster
 // program still reports faster times; what cancels is the machine's drift.
 // The raw times stay in the run's record.
 
@@ -45,13 +45,6 @@ func refKernel() {
 		}
 	}
 	refSink += c[0]
-}
-
-// refSampleMs times the kernel once, in ms.
-func refSampleMs() float64 {
-	t0 := time.Now()
-	refKernel()
-	return float64(time.Since(t0)) / 1e6
 }
 
 // overlap returns how much of [lo, hi) the intervals cover; they must not

@@ -108,11 +108,13 @@ func TestBreakdownAttribution(t *testing.T) {
 	// Round 1 spans [0, 10ms): an outer span [1, 7) on lane 0 holding a
 	// nested span [2, 4), and a span on lane 1 over [3, 5) at the nested
 	// depth. Round 2 spans [10, 20) with no spans, only a speed-reference run
-	// over [12, 13), which belongs to no round.
+	// over [12, 13), which belongs to no round. A span over [19, 22) is half
+	// outside every round.
 	spans := []span{
 		{name: "outer", lane: 0, depth: 1, start: 1 * ms, end: 7 * ms},
 		{name: "inner", lane: 0, depth: 2, start: 2 * ms, end: 4 * ms},
 		{name: "client", lane: 1, depth: 2, start: 3 * ms, end: 5 * ms},
+		{name: "late", lane: 0, depth: 1, start: 19 * ms, end: 22 * ms},
 	}
 	b := newBreakdown()
 	b.add([]int64{0, 10 * ms, 20 * ms}, spans, []span{{start: 12 * ms, end: 13 * ms}})
@@ -120,20 +122,21 @@ func TestBreakdownAttribution(t *testing.T) {
 		"inner":  1 + 0.5, // alone over [2,3), shared with client over [3,4)
 		"client": 0.5 + 1, // shared over [3,4), deepest alone over [4,5)
 		"outer":  1 + 2,   // [1,2) and [5,7)
+		"late":   1,       // [19,20)
 	}
 	for name, w := range want {
 		if got := b.attribMs[name]; math.Abs(got-w) > 1e-9 {
 			t.Errorf("%s attributed %v ms, want %v", name, got, w)
 		}
 	}
-	if math.Abs(b.selfMs-(4+9)) > 1e-9 {
-		t.Errorf("self %v ms, want 13", b.selfMs)
+	if math.Abs(b.selfMs-(4+8)) > 1e-9 {
+		t.Errorf("self %v ms, want 12", b.selfMs)
 	}
 	if math.Abs(b.laneBusyMs[1]-2) > 1e-9 {
 		t.Errorf("lane 1 busy %v ms, want 2", b.laneBusyMs[1])
 	}
-	if b.rounds != 2 || b.wallMs != 19 || b.covMin != 1 || b.covMax != 1 || b.outsideMs != 0 {
-		t.Errorf("rounds %d wall %v coverage [%v, %v] outside %v", b.rounds, b.wallMs, b.covMin, b.covMax, b.outsideMs)
+	if b.rounds != 2 || b.wallMs != 19 || math.Abs(b.outsideMs-2) > 1e-9 {
+		t.Errorf("rounds %d wall %v outside %v", b.rounds, b.wallMs, b.outsideMs)
 	}
 	if got := b.perCall("outer"); got != 6 {
 		t.Errorf("outer per call %v ms, want 6", got)

@@ -3,14 +3,18 @@
 
 Run from the repository root:
 
-  python3 perfbench/report.py table  [--seed 1] [--seconds N] [--workload NAME ...]
+  python3 perfbench/report.py table  [--seed 1] [--seconds N]
       one untraced and one traced run of every workload -> perfbench/results.json
-  python3 perfbench/report.py spread [--seeds 1-10] [--seconds N] [--workload NAME ...]
-      untraced runs over several seeds; the quartile spread of every end-to-end
-      metric as a share of its median, against its bound -> perfbench/spread.json
+  python3 perfbench/report.py spread [--seeds 1-10] [--seconds N]
+      untraced runs of every workload over several seeds; the quartile spread
+      of every end-to-end metric as a share of its median, against its bound,
+      and the largest departure of a single run from the median
+      -> perfbench/spread.json
   python3 perfbench/report.py render
 
---seconds defaults to BENCHMARK.json's run_seconds. Every mode then renders
+--seconds defaults to BENCHMARK.json's run_seconds. table and spread always
+run every workload and overwrite their file; spread.json carries the stamp of
+the code it measured, as results.json's records do. Every mode then renders
 perfbench/RESULTS.md from whichever of the two JSON files exist.
 """
 import argparse
@@ -32,7 +36,7 @@ SHOULD_MOVE = {
     'opt.': 'rounds_per_s on sim-eds and tcp-loopback; barely fleet-day',
     'models.': 'rounds_per_s on sim-eds and tcp-loopback; barely fleet-day',
     'selection.': 'rounds_per_s on sim-eds',
-    'metrics.': 'round_p50_ms on tcp-loopback (clients idle while the server evaluates)',
+    'metrics.': 'round_p50_ms on tcp-loopback (the server evaluates every round)',
     'strategy.': 'round_p50_ms on tcp-loopback',
     'comm.': 'round_p50_ms and round_tail_ms on tcp-loopback only',
     'core.local_update_ms': 'round_p50_ms and round_tail_ms on tcp-loopback only',
@@ -83,7 +87,6 @@ def render(manifest):
     names = [w['name'] for w in manifest['workloads']]
     if os.path.exists(RESULTS):
         res = json.load(open(RESULTS))
-        names = [n for n in names if n in res]
         st = res[names[0]]['untraced']['stamp']
         lines += ['## Machine and code', '',
                   f"CPU `{st['cpu']}`, nproc {st['nproc']}, GOMAXPROCS {st['gomaxprocs']}, "
@@ -101,7 +104,7 @@ def render(manifest):
                 row.append(fmt(v) if v == raw else f'{fmt(v)} ({fmt(raw)})')
             lines.append(f"| {m['name']} | {m['unit']} | " + ' | '.join(row) + ' |')
         row = [fmt(res[w]['untraced']['reference_ms']) for w in names]
-        lines.append('| reference kernel, mean | ms | ' + ' | '.join(row) + ' |')
+        lines.append('| reference kernel, median | ms | ' + ' | '.join(row) + ' |')
         row = [str(res[w]['untraced']['rounds']) for w in names]
         lines.append('| rounds measured (round_tail_ms is their p90) | count | ' + ' | '.join(row) + ' |')
         lines += ['', '## Tracing overhead (traced minus untraced episodes of the traced run)', '',
@@ -150,20 +153,23 @@ def render(manifest):
                 for c in res[w][mode]['checks']:
                     lines.append(f"- {w} ({mode}) {c['name']}: {'ok' if c['ok'] else 'FAILED'}, {c['detail']}")
         lines.append('')
-    names = [w['name'] for w in manifest['workloads']]
     if os.path.exists(SPREAD):
         sp = json.load(open(SPREAD))
+        st = sp['stamp']
         lines += ['## Steadiness', '',
                   f"Quartile spread (Q3 - Q1) / median of each end-to-end metric over seeds {sp['seeds']} "
-                  f"at --seconds {sp['seconds']}, against the metric's bound.", '',
-                  '| metric | bound | ' + ' | '.join(n for n in names if n in sp['workloads']) + ' |',
-                  '|---|---:|' + '---:|' * len([n for n in names if n in sp['workloads']])]
+                  f"at --seconds {sp['seconds']}, against the metric's bound; in brackets the largest "
+                  "departure of a single run from the median, as a share of the median. "
+                  f"Measured on CPU `{st['cpu']}`, nproc {st['nproc']}, GOMAXPROCS {st['gomaxprocs']}, "
+                  f"{st['go_version']}, tensor kernel `{st['kernel']}`, commit `{st['commit']}`, "
+                  f"source `{st['source_sha']}`.", '',
+                  '| metric | bound | ' + ' | '.join(names) + ' |',
+                  '|---|---:|' + '---:|' * len(names)]
         for m in manifest['end_to_end']:
             row = []
             for w in names:
-                if w in sp['workloads']:
-                    s = sp['workloads'][w][m['name']]
-                    row.append(f"{s['spread']:.3f} (median {fmt(s['median'])})")
+                s = sp['workloads'][w][m['name']]
+                row.append(f"{s['spread']:.3f} [{s['max_departure']:.3f}] (median {fmt(s['median'])})")
             lines.append(f"| {m['name']} | {m['bound']} | " + ' | '.join(row) + ' |')
         lines.append('')
     open(REPORT, 'w').write('\n'.join(lines))
@@ -175,27 +181,26 @@ def main():
     ap.add_argument('--seed', type=int, default=1)
     ap.add_argument('--seeds', default='1-10')
     ap.add_argument('--seconds', type=int)
-    ap.add_argument('--workload', nargs='*')
     args = ap.parse_args()
     manifest = json.load(open(MANIFEST))
     seconds = args.seconds or manifest['run_seconds']
-    names = args.workload or [w['name'] for w in manifest['workloads']]
+    names = [w['name'] for w in manifest['workloads']]
     if args.mode == 'table':
-        res = json.load(open(RESULTS)) if args.workload and os.path.exists(RESULTS) else {}
+        res = {}
         for w in names:
             res[w] = {'untraced': run(w, args.seed, seconds, 0)[0], 'traced': run(w, args.seed, seconds, 1)[0]}
         json.dump(res, open(RESULTS, 'w'), indent=1)
     elif args.mode == 'spread':
-        seeds = parse_seeds(args.seeds)
-        out = {'seeds': args.seeds, 'seconds': seconds, 'workloads': {}}
-        if os.path.exists(SPREAD):
-            prev = json.load(open(SPREAD))
-            if prev.get('seeds') == args.seeds and prev.get('seconds') == seconds:
-                out = prev
+        out = {'seeds': args.seeds, 'seconds': seconds, 'stamp': None, 'workloads': {}}
         for w in names:
             vals = {}
-            for s in seeds:
-                for k, v in run(w, s, seconds, 0)[1]['metrics'].items():
+            for s in parse_seeds(args.seeds):
+                rec, line = run(w, s, seconds, 0)
+                st = {k: v for k, v in rec['stamp'].items() if k != 'seed'}
+                if out['stamp'] not in (None, st):
+                    sys.exit(f'{w} seed {s} ran on other code or another machine: {st} != {out["stamp"]}')
+                out['stamp'] = st
+                for k, v in line['metrics'].items():
                     vals.setdefault(k, []).append(v['value'])
             out['workloads'][w] = {}
             for m in manifest['end_to_end']:
@@ -203,8 +208,10 @@ def main():
                 q = statistics.quantiles(v, n=4)
                 med = statistics.median(v)
                 spread = (q[2] - q[0]) / med if med else float('nan')
-                out['workloads'][w][m['name']] = {'median': med, 'spread': spread, 'values': v}
-                print(f"{w:13s} {m['name']:22s} median {med:12.5g} spread {spread:.4f} bound {m['bound']}")
+                dep = max(abs(x - med) for x in v) / med if med else float('nan')
+                out['workloads'][w][m['name']] = {'median': med, 'spread': spread, 'max_departure': dep, 'values': v}
+                print(f"{w:13s} {m['name']:22s} median {med:12.5g} spread {spread:.4f} "
+                      f"max departure {dep:.4f} bound {m['bound']}")
         json.dump(out, open(SPREAD, 'w'), indent=1)
     render(manifest)
 

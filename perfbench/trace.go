@@ -117,7 +117,7 @@ type breakdown struct {
 	wallMs float64
 	// attribMs is each span name's share of the round wall time: at every
 	// instant the deepest active spans split the time equally, so the
-	// shares plus selfMs add up to wallMs.
+	// shares plus selfMs add up to wallMs by construction.
 	attribMs map[string]float64
 	// busyMs and calls are the plain span durations and call counts.
 	busyMs map[string]float64
@@ -127,16 +127,13 @@ type breakdown struct {
 	selfMs float64
 	// laneBusyMs is, per client lane, the time any of its spans is active.
 	laneBusyMs map[int]float64
-	// coverage is the smallest and largest per-round ratio of attributed
-	// plus self time to wall time.
-	covMin, covMax float64
 	// outsideMs is span time that falls outside every round window.
 	outsideMs float64
 }
 
 func newBreakdown() *breakdown {
 	return &breakdown{attribMs: map[string]float64{}, busyMs: map[string]float64{},
-		calls: map[string]int{}, laneBusyMs: map[int]float64{}, covMin: 1, covMax: 1}
+		calls: map[string]int{}, laneBusyMs: map[int]float64{}}
 }
 
 // add folds one episode's spans, split at the round bounds, into b. The
@@ -171,7 +168,7 @@ func (b *breakdown) add(bounds []int64, spans, refs []span) {
 			}
 			return !evs[i].open && evs[j].open
 		})
-		var union, attributed float64
+		var union float64
 		active = active[:0]
 		prev := lo
 		for _, e := range evs {
@@ -190,7 +187,6 @@ func (b *breakdown) add(bounds []int64, spans, refs []span) {
 				}
 				for _, i := range top {
 					b.attribMs[spans[i].name] += dt / float64(len(top)) / ms
-					attributed += dt / float64(len(top))
 				}
 				for l := range lanes {
 					if l > 0 {
@@ -214,14 +210,9 @@ func (b *breakdown) add(bounds []int64, spans, refs []span) {
 			}
 		}
 		wall := float64(hi - lo - overlap(lo, hi, refs))
-		self := wall - union
-		b.selfMs += self / ms
+		b.selfMs += (wall - union) / ms
 		b.wallMs += wall / ms
 		b.rounds++
-		if wall > 0 {
-			cov := (attributed + self) / wall
-			b.covMin, b.covMax = min(b.covMin, cov), max(b.covMax, cov)
-		}
 	}
 	b.outsideMs += (spanTotal - inside) / ms
 }
