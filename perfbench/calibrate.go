@@ -1,5 +1,7 @@
 package main
 
+import "sort"
+
 // Speed reference. The machine this benchmark was built on is shared and its
 // speed drifts: within a run, rounds switch between a fast state and one about
 // 1.5× slower, and over minutes the mix moved the same code's round times by
@@ -15,36 +17,35 @@ package main
 // program still reports faster times; what cancels is the machine's drift.
 // The raw times stay in the run's record.
 
-// refNominalMs is the kernel's time in the fast state of the machine the
-// benchmark was built on (Intel Xeon, AVX-512, 2 vCPUs); it only sets the
-// scale of the reported times.
-const refNominalMs = 1.5
+// refNominalMs is the kernel's typical time on the machine the benchmark was
+// built on (Intel Xeon, AVX-512, 2 vCPUs); it only sets the scale of the
+// reported times.
+const refNominalMs = 5.5
 
-// refSink keeps the compiler from discarding the kernel's work.
-var refSink float32
-
-// refKernel is a fixed amount of the arithmetic the training loop is made of:
-// a small dense product, written out in plain Go.
+// refKernel sorts a copy of a fixed pseudo-random slice of 50k ints with the
+// standard library. It was chosen by how closely its time follows the
+// program's as the machine drifts. Over two 40-60 s runs of each workload,
+// the log-log slope of a round's time (relative to the same round in other
+// episodes) on the kernel's time right after it was 0.57-1.14 for this sort
+// and 0.19-0.56 for a small plain-Go dense product; a 16 MiB streaming update
+// and small allocations fell in between or below. Scaling by the dense
+// product's median widened the spread of episode times in three of the six
+// runs; scaling by the sort's narrowed it in all six, by up to 3.8×.
 func refKernel() {
-	const d, reps = 64, 6
-	var a, b, c [d * d]float32
-	for i := range a {
-		a[i] = float32(i%7) * 0.1
-		b[i] = float32(i%5) * 0.2
+	copy(refBuf, refInput)
+	sort.Ints(refBuf)
+}
+
+var refInput, refBuf = refData(50000)
+
+func refData(n int) (in, buf []int) {
+	in = make([]int, n)
+	x := uint64(1)
+	for i := range in {
+		x = x*6364136223846793005 + 1442695040888963407
+		in[i] = int(x >> 33)
 	}
-	for r := 0; r < reps; r++ {
-		for i := 0; i < d; i++ {
-			out := c[i*d : i*d+d]
-			for k := 0; k < d; k++ {
-				av := a[i*d+k]
-				row := b[k*d : k*d+d]
-				for j := range out {
-					out[j] += av * row[j]
-				}
-			}
-		}
-	}
-	refSink += c[0]
+	return in, make([]int, n)
 }
 
 // overlap returns how much of [lo, hi) the intervals cover; they must not

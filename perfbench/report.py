@@ -32,9 +32,9 @@ REPORT = os.path.join(HERE, 'RESULTS.md')
 
 # Which end-to-end metric each layer should move, on which workload.
 SHOULD_MOVE = {
-    'nn.': 'rounds_per_s on sim-eds and tcp-loopback; barely fleet-day',
-    'opt.': 'rounds_per_s on sim-eds and tcp-loopback; barely fleet-day',
-    'models.': 'rounds_per_s on sim-eds and tcp-loopback; barely fleet-day',
+    'nn.': 'rounds_per_s on sim-eds and tcp-loopback; on fleet-day by its training share',
+    'opt.': 'rounds_per_s on sim-eds and tcp-loopback; on fleet-day by its training share',
+    'models.': 'rounds_per_s on sim-eds and tcp-loopback; on fleet-day by its training share',
     'selection.': 'rounds_per_s on sim-eds',
     'metrics.': 'round_p50_ms on tcp-loopback (the server evaluates every round)',
     'strategy.': 'round_p50_ms on tcp-loopback',
