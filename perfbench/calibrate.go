@@ -1,21 +1,33 @@
 package main
 
-import "sort"
+import (
+	"sort"
+	"time"
+)
 
 // Speed reference. The machine this benchmark was built on is shared and its
 // speed drifts: within a run, rounds switch between a fast state and one about
 // 1.5× slower, and over minutes the mix moved the same code's round times by
-// up to 1.6× between runs. The round clock therefore runs a fixed reference
-// kernel once per round, right after ApplyAggregate and outside the round's
-// measured time, and each run reports its times at reference speed:
+// up to 1.6× between runs. The benchmark therefore runs a fixed reference
+// kernel next to every measured interval, outside the interval's time, and
+// reports times at reference speed:
 //
-//	reported = measured × refNominalMs / median(reference times of the run)
+//	round time at reference speed = round time × refNominalMs / the reference
+//	run right after the round's ApplyAggregate
+//	setup_s at reference speed    = median setup time × refNominalMs /
+//	median(the setupRefRuns reference runs right before and after each setup)
 //
-// The median, over hundreds of reference runs, is not moved by the odd run
-// that the host stalls. Setup times are scaled by the same factor. The
-// kernel is plain Go that no change to the program touches, so a faster
-// program still reports faster times; what cancels is the machine's drift.
-// The raw times stay in the run's record.
+// Pairing each interval with reference runs taken next to it cancels a
+// change of state during the run. A reference run that the host stalls only
+// shrinks one round among hundreds, which the medians and the p90 barely
+// see, and the setups' median over 50 runs is not moved by it. Measured
+// against scaling everything by the run's median reference time, over 10
+// seeds: the quartile spread of fleet-day's round_tail_ms fell from 0.10 to
+// 0.03 and tcp-loopback's rounds_per_s from 0.06 to 0.04, while the other
+// round metrics stayed within 0.02; tcp-loopback's setup_s fell from
+// 0.29-0.34 to 0.09. The kernel is plain Go that no change to the program
+// touches, so a faster program still reports faster times; what cancels is
+// the machine's drift. The raw times stay in the run's record.
 
 // refNominalMs is the kernel's typical time on the machine the benchmark was
 // built on (Intel Xeon, AVX-512, 2 vCPUs); it only sets the scale of the
@@ -37,6 +49,21 @@ func refKernel() {
 }
 
 var refInput, refBuf = refData(50000)
+
+// setupRefRuns is how many reference runs are taken right before and right
+// after each setup.
+const setupRefRuns = 5
+
+// refSamples runs the kernel n times and returns each run's time in ms.
+func refSamples(n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		t0 := time.Now()
+		refKernel()
+		out[i] = float64(time.Since(t0)) / 1e6
+	}
+	return out
+}
 
 func refData(n int) (in, buf []int) {
 	in = make([]int, n)

@@ -45,7 +45,7 @@ import (
 const (
 	// setupRepeats is how many times a run builds the workload's world;
 	// setup_s is the median.
-	setupRepeats = 3
+	setupRepeats = 5
 	// minEpisodes is the least number of measured episodes per mode.
 	minEpisodes = 2
 	// tailPercentile is the percentile round_tail_ms reports. It is fixed,
@@ -265,26 +265,27 @@ type value struct {
 // result is everything one run measured. print writes it as one JSON line
 // followed by the contract's summary line.
 type result struct {
-	Stamp           stamp              `json:"stamp"`
-	Workload        string             `json:"workload"`
-	Trace           bool               `json:"trace"`
-	Correct         bool               `json:"correct"`
-	Checks          []check            `json:"checks"`
-	Digest          string             `json:"digest"`
-	Episodes        int                `json:"episodes"`
-	TracedEpisodes  int                `json:"traced_episodes"`
-	Rounds          int                `json:"rounds"`
-	SetupSeconds    []float64          `json:"setup_seconds"`
-	ReferenceMs     float64            `json:"reference_ms"`
-	Attempted       int                `json:"attempted"`
-	Failed          int                `json:"failed"`
-	EndToEnd        map[string]value   `json:"end_to_end"`
-	EndToEndRaw     map[string]value   `json:"end_to_end_measured"`
-	EndToEndTraced  map[string]value   `json:"end_to_end_traced,omitempty"`
-	PerLayer        map[string]value   `json:"per_layer,omitempty"`
-	LayerBusyMs     map[string]float64 `json:"layer_busy_ms_per_round,omitempty"`
-	LayerAttribMs   map[string]float64 `json:"layer_wall_ms_per_round,omitempty"`
-	InitialAccuracy float64            `json:"initial_accuracy_pct"`
+	Stamp            stamp              `json:"stamp"`
+	Workload         string             `json:"workload"`
+	Trace            bool               `json:"trace"`
+	Correct          bool               `json:"correct"`
+	Checks           []check            `json:"checks"`
+	Digest           string             `json:"digest"`
+	Episodes         int                `json:"episodes"`
+	TracedEpisodes   int                `json:"traced_episodes"`
+	Rounds           int                `json:"rounds"`
+	SetupSeconds     []float64          `json:"setup_seconds"`
+	ReferenceMs      float64            `json:"reference_ms"`
+	SetupReferenceMs float64            `json:"setup_reference_ms"`
+	Attempted        int                `json:"attempted"`
+	Failed           int                `json:"failed"`
+	EndToEnd         map[string]value   `json:"end_to_end"`
+	EndToEndRaw      map[string]value   `json:"end_to_end_measured"`
+	EndToEndTraced   map[string]value   `json:"end_to_end_traced,omitempty"`
+	PerLayer         map[string]value   `json:"per_layer,omitempty"`
+	LayerBusyMs      map[string]float64 `json:"layer_busy_ms_per_round,omitempty"`
+	LayerAttribMs    map[string]float64 `json:"layer_wall_ms_per_round,omitempty"`
+	InitialAccuracy  float64            `json:"initial_accuracy_pct"`
 }
 
 func (r *result) print(w io.Writer) error {
@@ -331,16 +332,18 @@ func measure(o options) (*result, error) {
 	res := &result{Stamp: newStamp(o.seed), Workload: w.name, Trace: o.trace}
 
 	var wd world
-	var fleetNewMs []float64
+	var fleetNewMs, setupRefs []float64
 	for i := 0; i < setupRepeats; i++ {
 		wd = nil // the previous world is garbage before the next setup is timed
 		runtime.GC()
+		setupRefs = append(setupRefs, refSamples(setupRefRuns)...)
 		t0 := time.Now()
 		next, err := w.setup(o.seed)
 		if err != nil {
 			return nil, fmt.Errorf("%s setup: %w", w.name, err)
 		}
 		res.SetupSeconds = append(res.SetupSeconds, time.Since(t0).Seconds())
+		setupRefs = append(setupRefs, refSamples(setupRefRuns)...)
 		if fw, ok := next.(*fleetWorld); ok {
 			fleetNewMs = append(fleetNewMs, fw.newMs)
 		}
@@ -405,9 +408,10 @@ func measure(o options) (*result, error) {
 	}
 
 	rss := peakRSSMiB()
-	res.EndToEnd, res.EndToEndRaw, res.Rounds, res.ReferenceMs = endToEnd(plain, res.SetupSeconds, rss)
+	res.SetupReferenceMs = median(setupRefs)
+	res.EndToEnd, res.EndToEndRaw, res.Rounds, res.ReferenceMs = endToEnd(plain, res.SetupSeconds, setupRefs, rss)
 	if o.trace {
-		res.EndToEndTraced, _, _, _ = endToEnd(traced, res.SetupSeconds, rss)
+		res.EndToEndTraced, _, _, _ = endToEnd(traced, res.SetupSeconds, setupRefs, rss)
 		if err := res.perLayer(wd, traced, fleetNewMs); err != nil {
 			return nil, err
 		}
@@ -433,53 +437,56 @@ func (r *result) addCheck(name string, ok bool, detail string) {
 }
 
 // endToEnd computes the end-to-end metrics of a set of episodes, at
-// reference speed and as measured (see calibrate.go); setups are the
-// measured setup times. It also returns the round count and the median
-// reference time.
-func endToEnd(eps []*episode, setups []float64, rssMiB float64) (atRef, raw map[string]value, rounds int, refMs float64) {
-	var walls, rates, refs []float64
+// reference speed and as measured (see calibrate.go). setups are the
+// measured setup times and setupRefs the reference runs taken around them.
+// It also returns the round count and the rounds' median reference time.
+func endToEnd(eps []*episode, setups, setupRefs []float64, rssMiB float64) (atRef, raw map[string]value, rounds int, refMs float64) {
+	var walls, wallsAtRef, rates, ratesAtRef, refs []float64
 	var wire int64
 	var attempted, failed int
 	for _, ep := range eps {
 		b := ep.bounds
-		var epNs int64
+		var epMs, epAtRef float64
 		for i := 1; i < len(b); i++ {
-			ns := b[i] - b[i-1] - overlap(b[i-1], b[i], ep.refs)
-			walls = append(walls, float64(ns)/1e6)
-			epNs += ns
+			ms := float64(b[i]-b[i-1]-overlap(b[i-1], b[i], ep.refs)) / 1e6
+			// The reference ran right after this round's ApplyAggregate.
+			ref := float64(ep.refs[i-1].end-ep.refs[i-1].start) / 1e6
+			walls = append(walls, ms)
+			wallsAtRef = append(wallsAtRef, ms*refNominalMs/ref)
+			refs = append(refs, ref)
+			epMs += ms
+			epAtRef += ms * refNominalMs / ref
 		}
-		rates = append(rates, float64(ep.rounds)/(float64(epNs)/1e9))
-		for _, r := range ep.refs {
-			refs = append(refs, float64(r.end-r.start)/1e6)
-		}
+		rates = append(rates, float64(ep.rounds)/(epMs/1e3))
+		ratesAtRef = append(ratesAtRef, float64(ep.rounds)/(epAtRef/1e3))
 		wire += ep.wireBytes
 		rounds += ep.rounds
 		attempted += ep.attempted
 		failed += ep.failed
 	}
-	refMs = median(refs)
-	sort.Float64s(walls)
-	tailIdx := min(int(math.Ceil(tailPercentile/100.0*float64(len(walls))))-1, len(walls)-1)
-	raw = map[string]value{
-		"setup_s":              {median(setups), "s"},
-		"rounds_per_s":         {median(rates), "1/s"},
-		"round_p50_ms":         {median(walls), "ms"},
-		"round_tail_ms":        {walls[tailIdx], "ms"},
+	common := map[string]value{
 		"final_accuracy_pct":   {100 * eps[0].finalAcc, "%"},
 		"wire_bytes_per_round": {float64(wire) / float64(rounds), "bytes"},
 		"peak_rss_mib":         {rssMiB, "MiB"},
 		"success_ratio":        {1 - float64(failed)/float64(attempted), "ratio"},
 	}
-	scale := refNominalMs / refMs
-	atRef = map[string]value{}
-	for k, v := range raw {
-		atRef[k] = v
+	timings := func(setup float64, walls, rates []float64) map[string]value {
+		sort.Float64s(walls)
+		tailIdx := min(int(math.Ceil(tailPercentile/100.0*float64(len(walls))))-1, len(walls)-1)
+		m := map[string]value{
+			"setup_s":       {setup, "s"},
+			"rounds_per_s":  {median(rates), "1/s"},
+			"round_p50_ms":  {median(walls), "ms"},
+			"round_tail_ms": {walls[tailIdx], "ms"},
+		}
+		for k, v := range common {
+			m[k] = v
+		}
+		return m
 	}
-	atRef["setup_s"] = value{raw["setup_s"].Value * scale, "s"}
-	atRef["rounds_per_s"] = value{raw["rounds_per_s"].Value / scale, "1/s"}
-	atRef["round_p50_ms"] = value{raw["round_p50_ms"].Value * scale, "ms"}
-	atRef["round_tail_ms"] = value{raw["round_tail_ms"].Value * scale, "ms"}
-	return atRef, raw, len(walls), refMs
+	raw = timings(median(setups), walls, rates)
+	atRef = timings(median(setups)*refNominalMs/median(setupRefs), wallsAtRef, ratesAtRef)
+	return atRef, raw, len(walls), median(refs)
 }
 
 // perLayer fills the per-layer metrics from the traced episodes, the

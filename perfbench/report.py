@@ -104,7 +104,9 @@ def render(manifest):
                 row.append(fmt(v) if v == raw else f'{fmt(v)} ({fmt(raw)})')
             lines.append(f"| {m['name']} | {m['unit']} | " + ' | '.join(row) + ' |')
         row = [fmt(res[w]['untraced']['reference_ms']) for w in names]
-        lines.append('| reference kernel, median | ms | ' + ' | '.join(row) + ' |')
+        lines.append('| reference kernel, median over rounds | ms | ' + ' | '.join(row) + ' |')
+        row = [fmt(res[w]['untraced']['setup_reference_ms']) for w in names]
+        lines.append('| reference kernel, median over setups | ms | ' + ' | '.join(row) + ' |')
         row = [str(res[w]['untraced']['rounds']) for w in names]
         lines.append('| rounds measured (round_tail_ms is their p90) | count | ' + ' | '.join(row) + ' |')
         lines += ['', '## Tracing overhead (traced minus untraced episodes of the traced run)', '',

@@ -100,8 +100,8 @@ func (e *episode) finish(tr *tracer, start, end int64, hist core.History, global
 		return nil
 	}
 	bounds, ok := roundBounds(start, end, tr.marks, e.rounds)
-	if !ok {
-		return fmt.Errorf("%d ApplyAggregate calls for %d rounds", len(tr.marks), e.rounds)
+	if !ok || len(tr.refs) != e.rounds {
+		return fmt.Errorf("%d ApplyAggregate calls and %d reference runs for %d rounds", len(tr.marks), len(tr.refs), e.rounds)
 	}
 	e.bounds, e.spans, e.refs, e.counts = bounds, tr.spans, tr.refs, tr.counts
 	return nil
