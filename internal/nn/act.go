@@ -7,9 +7,17 @@ import (
 )
 
 // ReLU is the rectified linear activation, applied element-wise.
+//
+// Its loops are branchless over the float32 bit patterns. A training forward
+// keeps x iff x > 0 and writes +0 otherwise (so -0 and NaN become +0); an
+// evaluation forward zeroes x iff x < 0 (so -0 and NaN pass through);
+// Backward passes dy's bits, NaN and -0 included, where the training forward
+// kept x and +0 elsewhere.
 type ReLU struct {
 	base
-	mask []bool // true where input > 0, cached for backward
+	// mask is all ones where the last training forward kept its input and
+	// zero elsewhere; an evaluation forward empties it.
+	mask []uint32
 
 	// Cached workspaces, reused across steps (see the package aliasing rule).
 	y, dx *tensor.Tensor
@@ -23,33 +31,42 @@ func NewReLU(name string) *ReLU {
 	return &ReLU{base: base{name: name}}
 }
 
+// posSpan counts the bit patterns of positive float32 values: 0x00000001 (the
+// smallest subnormal) through 0x7f800000 (+Inf). Negative values are the same
+// patterns with the sign bit set; zeros and NaNs lie outside both ranges.
+const posSpan = 0x7f800000
+
+// inRange returns all ones if b-lo, modulo 2³², is below posSpan, and zero
+// otherwise, without a branch: the 64-bit difference is negative exactly
+// then. inRange(b, 1) selects x > 0 and inRange(b, 0x80000001) selects x < 0.
+func inRange(b, lo uint32) uint32 {
+	return uint32(int64(uint64(b-lo)-posSpan) >> 63)
+}
+
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	r.shape = captureShape(r.shape, x)
 	r.y = tensor.Ensure(r.y, r.shape...)
 	xd, yd := x.Data(), r.y.Data()
-	if train {
-		if cap(r.mask) < len(yd) {
-			r.mask = make([]bool, len(yd))
-		}
-		r.mask = r.mask[:len(yd)]
+	yd = yd[:len(xd)]
+	if !train {
+		r.mask = r.mask[:0]
 		for i, v := range xd {
-			if v > 0 {
-				r.mask[i] = true
-				yd[i] = v
-			} else {
-				r.mask[i] = false
-				yd[i] = 0
-			}
+			b := math.Float32bits(v)
+			yd[i] = math.Float32frombits(b &^ inRange(b, 0x80000001))
 		}
-	} else {
-		for i, v := range xd {
-			if v < 0 {
-				yd[i] = 0
-			} else {
-				yd[i] = v
-			}
-		}
+		return r.y
+	}
+	if cap(r.mask) < len(xd) {
+		r.mask = make([]uint32, len(xd))
+	}
+	mask := r.mask[:len(xd)]
+	r.mask = mask
+	for i, v := range xd {
+		b := math.Float32bits(v)
+		m := inRange(b, 1)
+		mask[i] = m
+		yd[i] = math.Float32frombits(b & m)
 	}
 	return r.y
 }
@@ -63,13 +80,10 @@ func (r *ReLU) Backward(dy *tensor.Tensor, needDx bool) *tensor.Tensor {
 		panic("nn: relu " + r.name + ": Backward without train Forward")
 	}
 	r.dx = tensor.Ensure(r.dx, r.shape...)
-	dyd, dxd := dy.Data(), r.dx.Data()
+	dyd, dxd, mask := dy.Data(), r.dx.Data(), r.mask
+	dxd, mask = dxd[:len(dyd)], mask[:len(dyd)]
 	for i, v := range dyd {
-		if r.mask[i] {
-			dxd[i] = v
-		} else {
-			dxd[i] = 0
-		}
+		dxd[i] = math.Float32frombits(math.Float32bits(v) & mask[i])
 	}
 	return r.dx
 }

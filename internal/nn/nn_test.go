@@ -63,6 +63,90 @@ func TestReLUForwardBackward(t *testing.T) {
 	}
 }
 
+// reluSpecials are the float32 values whose ReLU treatment is pinned bit for
+// bit: signed zeros, NaNs of both signs, infinities, the smallest subnormal
+// and ±1.
+var reluSpecials = []float32{
+	0,
+	float32(math.Copysign(0, -1)),
+	math.Float32frombits(0x7fc00000),
+	math.Float32frombits(0xffc00000),
+	float32(math.Inf(1)),
+	float32(math.Inf(-1)),
+	math.Float32frombits(1),
+	-math.Float32frombits(1),
+	1,
+	-1,
+}
+
+func TestReLUSpecialValueBits(t *testing.T) {
+	// Every (x, dy) pair of special values, so backward sees NaN and -0
+	// upstream gradients both where the mask is set and where it is not.
+	k := len(reluSpecials)
+	xs := make([]float32, 0, k*k)
+	dys := make([]float32, 0, k*k)
+	for _, x := range reluSpecials {
+		for _, dy := range reluSpecials {
+			xs = append(xs, x)
+			dys = append(dys, dy)
+		}
+	}
+	bits := math.Float32bits
+	r := NewReLU("r")
+	x := tensor.MustFromSlice(xs, 1, len(xs))
+
+	y := r.Forward(x, false)
+	for i, v := range xs {
+		// Eval: zero iff v < 0, so -0 and NaN pass through unchanged.
+		want := bits(v)
+		if v < 0 {
+			want = 0
+		}
+		if got := bits(y.Data()[i]); got != want {
+			t.Errorf("eval forward(%#08x) = %#08x, want %#08x", bits(v), got, want)
+		}
+	}
+
+	y = r.Forward(x, true)
+	for i, v := range xs {
+		// Train: keep v iff v > 0, otherwise +0.
+		want := uint32(0)
+		if v > 0 {
+			want = bits(v)
+		}
+		if got := bits(y.Data()[i]); got != want {
+			t.Errorf("train forward(%#08x) = %#08x, want %#08x", bits(v), got, want)
+		}
+	}
+
+	dx := r.Backward(tensor.MustFromSlice(dys, 1, len(dys)), true)
+	for i, v := range xs {
+		// Backward: dy's bits where the input was kept, +0 elsewhere.
+		want := uint32(0)
+		if v > 0 {
+			want = bits(dys[i])
+		}
+		if got := bits(dx.Data()[i]); got != want {
+			t.Errorf("backward(x=%#08x, dy=%#08x) = %#08x, want %#08x", bits(v), bits(dys[i]), got, want)
+		}
+	}
+}
+
+func TestReLUBackwardAfterEvalForwardPanics(t *testing.T) {
+	// An eval forward after a train forward invalidates the mask: Backward
+	// must refuse rather than return a gradient built from the old input.
+	r := NewReLU("r")
+	x := tensor.MustFromSlice([]float32{-1, 0, 2}, 1, 3)
+	r.Forward(x, true)
+	r.Forward(x, false)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Backward after an eval Forward did not panic")
+		}
+	}()
+	r.Backward(tensor.MustFromSlice([]float32{5, 5, 5}, 1, 3), true)
+}
+
 func TestSoftmaxRowsSumToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	logits := tensor.New(10, 7)

@@ -40,6 +40,7 @@ type BatchNorm struct {
 	y, dx          *tensor.Tensor
 	mean, variance []float64
 	dgamma, dbeta  []float64
+	coef           []float64 // per-channel γ·invStd/m of the batch-stat dx
 }
 
 var _ Layer = (*BatchNorm)(nil)
@@ -94,21 +95,34 @@ func (bn *BatchNorm) geometry(x *tensor.Tensor) (n, spatial int) {
 	}
 }
 
-// ensureChannelBufs sizes the per-channel float64 scratch slices once.
+// ensureChannelBufs sizes the per-channel float64 scratch slices once, out
+// of a single allocation.
 func (bn *BatchNorm) ensureChannelBufs() {
-	if bn.mean == nil {
-		bn.mean = make([]float64, bn.channels)
-		bn.variance = make([]float64, bn.channels)
-		bn.invStd = make([]float64, bn.channels)
-		bn.dgamma = make([]float64, bn.channels)
-		bn.dbeta = make([]float64, bn.channels)
+	if bn.mean != nil {
+		return
 	}
+	c := bn.channels
+	buf := make([]float64, 6*c)
+	next := func() []float64 {
+		s := buf[:c:c]
+		buf = buf[c:]
+		return s
+	}
+	bn.mean, bn.variance, bn.invStd = next(), next(), next()
+	bn.dgamma, bn.dbeta, bn.coef = next(), next(), next()
 }
 
 // Forward implements Layer.
+//
+// Rank-2 inputs, where every value of a sample is one channel, are walked a
+// sample row at a time; rank-4 inputs a (sample, channel) plane at a time.
+// Both visit each channel's values in the same sample order, so the float64
+// per-channel sums, and everything derived from them, are bit-identical
+// between the two layouts.
 func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n, spatial := bn.geometry(x)
 	cc := bn.channels
+	rows := x.Rank() == 2
 	bn.ensureChannelBufs()
 	bn.inShape = captureShape(bn.inShape, x)
 	bn.y = tensor.Ensure(bn.y, bn.inShape...)
@@ -118,36 +132,55 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 	if useBatchStats {
 		mean, variance := bn.mean, bn.variance
-		for c := range mean {
-			mean[c] = 0
-			variance[c] = 0
-		}
+		clear(mean)
+		clear(variance)
 		// Two-pass statistics, accumulated per (sample, channel) run in
 		// float64, matching the original closure-based implementation term
-		// for term.
-		for i := 0; i < n; i++ {
-			for ch := 0; ch < cc; ch++ {
-				off := (i*cc + ch) * spatial
-				var s float64
-				for _, v := range xd[off : off+spatial] {
-					s += float64(v)
+		// for term. A rank-2 run is a single value v, and 0 + v == v.
+		// Row walks reslice every operand to [:cc] so the compiler can drop
+		// the per-element bounds checks.
+		if rows {
+			mean := mean[:cc]
+			for off := 0; off < len(xd); off += cc {
+				for ch, v := range xd[off:][:cc] {
+					mean[ch] += float64(v)
 				}
-				mean[ch] += s
+			}
+		} else {
+			for i := 0; i < n; i++ {
+				for ch := 0; ch < cc; ch++ {
+					off := (i*cc + ch) * spatial
+					var s float64
+					for _, v := range xd[off : off+spatial] {
+						s += float64(v)
+					}
+					mean[ch] += s
+				}
 			}
 		}
 		m := float64(n * spatial)
 		for c := range mean {
 			mean[c] /= m
 		}
-		for i := 0; i < n; i++ {
-			for ch := 0; ch < cc; ch++ {
-				off := (i*cc + ch) * spatial
-				var s float64
-				for _, v := range xd[off : off+spatial] {
+		if rows {
+			mean, variance := mean[:cc], variance[:cc]
+			for off := 0; off < len(xd); off += cc {
+				for ch, v := range xd[off:][:cc] {
 					d := float64(v) - mean[ch]
-					s += d * d
+					variance[ch] += d * d
 				}
-				variance[ch] += s
+			}
+		} else {
+			for i := 0; i < n; i++ {
+				for ch := 0; ch < cc; ch++ {
+					off := (i*cc + ch) * spatial
+					var s float64
+					for _, v := range xd[off : off+spatial] {
+						d := float64(v) - mean[ch]
+						s += d * d
+					}
+					variance[ch] += s
+				}
 			}
 		}
 		for c := range variance {
@@ -165,21 +198,27 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 		bn.xhat = tensor.Ensure(bn.xhat, bn.inShape...)
 		xh := bn.xhat.Data()
-		for i := 0; i < n; i++ {
-			for ch := 0; ch < cc; ch++ {
-				off := (i*cc + ch) * spatial
-				mu, is := mean[ch], invStd[ch]
-				for s := off; s < off+spatial; s++ {
-					xh[s] = float32((float64(xd[s]) - mu) * is)
+		if rows {
+			mean, invStd, gd, bd := mean[:cc], invStd[:cc], gd[:cc], bd[:cc]
+			for off := 0; off < len(xd); off += cc {
+				xr, hr, yr := xd[off:][:cc], xh[off:][:cc], yd[off:][:cc]
+				for ch, v := range xr {
+					h := float32((float64(v) - mean[ch]) * invStd[ch])
+					hr[ch] = h
+					yr[ch] = gd[ch]*h + bd[ch]
 				}
 			}
-		}
-		for i := 0; i < n; i++ {
-			for ch := 0; ch < cc; ch++ {
-				off := (i*cc + ch) * spatial
-				g, b := gd[ch], bd[ch]
-				for s := off; s < off+spatial; s++ {
-					yd[s] = g*xh[s] + b
+		} else {
+			for i := 0; i < n; i++ {
+				for ch := 0; ch < cc; ch++ {
+					off := (i*cc + ch) * spatial
+					mu, is := mean[ch], invStd[ch]
+					g, b := gd[ch], bd[ch]
+					for s := off; s < off+spatial; s++ {
+						h := float32((float64(xd[s]) - mu) * is)
+						xh[s] = h
+						yd[s] = g*h + b
+					}
 				}
 			}
 		}
@@ -202,18 +241,30 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	trainDegenerate := train && !bn.frozen
 	rm := bn.runMean.Data()
-	for i := 0; i < n; i++ {
-		for ch := 0; ch < cc; ch++ {
-			off := (i*cc + ch) * spatial
-			mu, is := float64(rm[ch]), invStd[ch]
-			g, b := float64(gd[ch]), float64(bd[ch])
-			for s := off; s < off+spatial; s++ {
-				xh := (float64(xd[s]) - mu) * is
-				yd[s] = float32(g*xh + b)
+	if rows {
+		rm, invStd, gd, bd := rm[:cc], invStd[:cc], gd[:cc], bd[:cc]
+		for off := 0; off < len(xd); off += cc {
+			xr, yr := xd[off:][:cc], yd[off:][:cc]
+			for ch, v := range xr {
+				xh := (float64(v) - float64(rm[ch])) * invStd[ch]
+				yr[ch] = float32(float64(gd[ch])*xh + float64(bd[ch]))
+			}
+		}
+	} else {
+		for i := 0; i < n; i++ {
+			for ch := 0; ch < cc; ch++ {
+				off := (i*cc + ch) * spatial
+				mu, is := float64(rm[ch]), invStd[ch]
+				g, b := float64(gd[ch]), float64(bd[ch])
+				for s := off; s < off+spatial; s++ {
+					xh := (float64(xd[s]) - mu) * is
+					yd[s] = float32(g*xh + b)
+				}
 			}
 		}
 	}
 	if trainDegenerate {
+		// One value per channel: the per-plane loop is also the row walk.
 		bn.xhat = tensor.Ensure(bn.xhat, bn.inShape...)
 		xh := bn.xhat.Data()
 		for i := 0; i < n; i++ {
@@ -232,10 +283,50 @@ func (bn *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return bn.y
 }
 
+// paramGrads reduces dγ_c = Σ dy·x̂ and dβ_c = Σ dy over batch and spatial
+// positions into bn.dgamma and bn.dbeta, in sample order per channel, and
+// unless the layer is frozen adds them to the parameter gradients.
+func (bn *BatchNorm) paramGrads(dyd []float32, rows bool, n, spatial int) {
+	cc := bn.channels
+	dgamma, dbeta := bn.dgamma, bn.dbeta
+	clear(dgamma)
+	clear(dbeta)
+	xh := bn.xhat.Data()
+	if rows {
+		dgamma, dbeta := dgamma[:cc], dbeta[:cc]
+		for off := 0; off < len(dyd); off += cc {
+			dyr, hr := dyd[off:][:cc], xh[off:][:cc]
+			for ch, v := range dyr {
+				dgamma[ch] += float64(v) * float64(hr[ch])
+				dbeta[ch] += float64(v)
+			}
+		}
+	} else {
+		for i := 0; i < n; i++ {
+			for ch := 0; ch < cc; ch++ {
+				off := (i*cc + ch) * spatial
+				for s := off; s < off+spatial; s++ {
+					dgamma[ch] += float64(dyd[s]) * float64(xh[s])
+					dbeta[ch] += float64(dyd[s])
+				}
+			}
+		}
+	}
+	if bn.frozen {
+		return
+	}
+	gg, bg := bn.gamma.G.Data(), bn.beta.G.Data()
+	for c := 0; c < cc; c++ {
+		gg[c] += float32(dgamma[c])
+		bg[c] += float32(dbeta[c])
+	}
+}
+
 // Backward implements Layer.
 func (bn *BatchNorm) Backward(dy *tensor.Tensor, needDx bool) *tensor.Tensor {
 	n, spatial := bn.geometry(dy)
 	cc := bn.channels
+	rows := dy.Rank() == 2
 	m := float64(n * spatial)
 	dyd := dy.Data()
 	gd := bn.gamma.W.Data()
@@ -248,26 +339,7 @@ func (bn *BatchNorm) Backward(dy *tensor.Tensor, needDx bool) *tensor.Tensor {
 		// the batch, so dx decouples to dy·γ·invStd; dγ/dβ accumulate from
 		// the cached xhat when the layer is trainable.
 		if !bn.frozen && bn.xhat != nil {
-			dgamma, dbeta := bn.dgamma, bn.dbeta
-			for c := range dgamma {
-				dgamma[c] = 0
-				dbeta[c] = 0
-			}
-			xh := bn.xhat.Data()
-			for i := 0; i < n; i++ {
-				for ch := 0; ch < cc; ch++ {
-					off := (i*cc + ch) * spatial
-					for s := off; s < off+spatial; s++ {
-						dgamma[ch] += float64(dyd[s]) * float64(xh[s])
-						dbeta[ch] += float64(dyd[s])
-					}
-				}
-			}
-			gg, bg := bn.gamma.G.Data(), bn.beta.G.Data()
-			for c := 0; c < cc; c++ {
-				gg[c] += float32(dgamma[c])
-				bg[c] += float32(dbeta[c])
-			}
+			bn.paramGrads(dyd, rows, n, spatial)
 		}
 		if !needDx {
 			return nil
@@ -287,42 +359,34 @@ func (bn *BatchNorm) Backward(dy *tensor.Tensor, needDx bool) *tensor.Tensor {
 		return bn.dx
 	}
 
-	// dgamma_c = Σ dy*xhat ; dbeta_c = Σ dy (over batch+spatial).
-	dgamma, dbeta := bn.dgamma, bn.dbeta
-	for c := range dgamma {
-		dgamma[c] = 0
-		dbeta[c] = 0
-	}
-	xh := bn.xhat.Data()
-	for i := 0; i < n; i++ {
-		for ch := 0; ch < cc; ch++ {
-			off := (i*cc + ch) * spatial
-			for s := off; s < off+spatial; s++ {
-				dgamma[ch] += float64(dyd[s]) * float64(xh[s])
-				dbeta[ch] += float64(dyd[s])
-			}
-		}
-	}
-	if !bn.frozen {
-		gg, bg := bn.gamma.G.Data(), bn.beta.G.Data()
-		for c := 0; c < cc; c++ {
-			gg[c] += float32(dgamma[c])
-			bg[c] += float32(dbeta[c])
-		}
-	}
+	bn.paramGrads(dyd, rows, n, spatial)
 	if !needDx {
 		return nil
 	}
 	// dx = gamma*invStd/m * (m*dy - dbeta - xhat*dgamma)
+	coef, dgamma, dbeta := bn.coef, bn.dgamma, bn.dbeta
+	for c := range coef {
+		coef[c] = float64(gd[c]) * bn.invStd[c] / m
+	}
 	bn.dx = tensor.Ensure(bn.dx, bn.inShape...)
-	dxd := bn.dx.Data()
-	for i := 0; i < n; i++ {
-		for ch := 0; ch < cc; ch++ {
-			off := (i*cc + ch) * spatial
-			g := float64(gd[ch]) * bn.invStd[ch] / m
-			dg, db := dgamma[ch], dbeta[ch]
-			for s := off; s < off+spatial; s++ {
-				dxd[s] = float32(g * (m*float64(dyd[s]) - db - float64(xh[s])*dg))
+	dxd, xh := bn.dx.Data(), bn.xhat.Data()
+	if rows {
+		coef, dgamma, dbeta := coef[:cc], dgamma[:cc], dbeta[:cc]
+		for off := 0; off < len(dyd); off += cc {
+			dyr := dyd[off:][:cc]
+			hr, dxr := xh[off:][:cc], dxd[off:][:cc]
+			for ch, v := range dyr {
+				dxr[ch] = float32(coef[ch] * (m*float64(v) - dbeta[ch] - float64(hr[ch])*dgamma[ch]))
+			}
+		}
+	} else {
+		for i := 0; i < n; i++ {
+			for ch := 0; ch < cc; ch++ {
+				off := (i*cc + ch) * spatial
+				g, dg, db := coef[ch], dgamma[ch], dbeta[ch]
+				for s := off; s < off+spatial; s++ {
+					dxd[s] = float32(g * (m*float64(dyd[s]) - db - float64(xh[s])*dg))
+				}
 			}
 		}
 	}

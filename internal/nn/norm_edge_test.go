@@ -90,6 +90,94 @@ func TestBatchNormGradCheckDegeneratePath(t *testing.T) {
 	}
 }
 
+func TestBatchNormRank2MatchesRank4(t *testing.T) {
+	// The same data fed as (N, C) and as (N, C, 1, 1) must give bit-identical
+	// outputs, running statistics, parameter gradients and input gradients:
+	// rank-2 inputs take a row-major path, rank-4 inputs the per-plane one.
+	const c = 5
+	bits := func(v []float32) []uint32 {
+		out := make([]uint32, len(v))
+		for i, f := range v {
+			out[i] = math.Float32bits(f)
+		}
+		return out
+	}
+	same := func(t *testing.T, what string, a, b []float32) {
+		t.Helper()
+		ab, bb := bits(a), bits(b)
+		if len(ab) != len(bb) {
+			t.Fatalf("%s: length %d vs %d", what, len(ab), len(bb))
+		}
+		for i := range ab {
+			if ab[i] != bb[i] {
+				t.Fatalf("%s[%d]: rank-2 %#08x, rank-4 %#08x", what, i, ab[i], bb[i])
+			}
+		}
+	}
+	type step struct {
+		n      int
+		train  bool
+		frozen bool
+		needDx bool
+	}
+	cases := []struct {
+		name  string
+		steps []step
+	}{
+		{"train batch stats", []step{{16, true, false, true}, {16, true, false, false}, {7, true, false, true}}},
+		{"eval", []step{{16, true, false, true}, {9, false, false, true}, {9, false, false, false}}},
+		{"frozen", []step{{16, true, false, true}, {12, true, true, true}, {12, true, true, false}}},
+		{"batch of one", []step{{16, true, false, true}, {1, true, false, true}, {1, true, false, false}}},
+		{"frozen batch of one", []step{{16, true, false, true}, {1, true, true, true}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			row, err := NewBatchNorm("bn", c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plane, err := NewBatchNorm("bn", c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, bn := range []*BatchNorm{row, plane} {
+				bn.gamma.W.FillNormal(rand.New(rand.NewSource(3)), 1, 0.5)
+				bn.beta.W.FillNormal(rand.New(rand.NewSource(4)), 0, 0.5)
+			}
+			for si, st := range tc.steps {
+				x := tensor.New(st.n, c)
+				x.FillNormal(rng, 1, 2)
+				dy := tensor.New(st.n, c)
+				dy.FillNormal(rng, 0, 1)
+				// Signed zeros in both input and upstream gradient.
+				x.Data()[0], dy.Data()[0] = float32(math.Copysign(0, -1)), float32(math.Copysign(0, -1))
+				x4 := x.Clone().MustReshape(st.n, c, 1, 1)
+				dy4 := dy.Clone().MustReshape(st.n, c, 1, 1)
+
+				row.SetFrozen(st.frozen)
+				plane.SetFrozen(st.frozen)
+				y2 := row.Forward(x, st.train)
+				y4 := plane.Forward(x4, st.train)
+				same(t, "y", y2.Data(), y4.Data())
+				same(t, "running mean", row.runMean.Data(), plane.runMean.Data())
+				same(t, "running var", row.runVar.Data(), plane.runVar.Data())
+
+				dx2 := row.Backward(dy, st.needDx)
+				dx4 := plane.Backward(dy4, st.needDx)
+				if (dx2 == nil) != !st.needDx || (dx4 == nil) != !st.needDx {
+					t.Fatalf("step %d: needDx %v but dx nil = %v / %v", si, st.needDx, dx2 == nil, dx4 == nil)
+				}
+				if st.needDx {
+					same(t, "dx", dx2.Data(), dx4.Data())
+				}
+				same(t, "gamma grad", row.gamma.G.Data(), plane.gamma.G.Data())
+				same(t, "beta grad", row.beta.G.Data(), plane.beta.G.Data())
+			}
+		})
+	}
+}
+
 func TestSoftmaxPanicsOnBadInput(t *testing.T) {
 	check := func(name string, f func()) {
 		t.Run(name, func(t *testing.T) {

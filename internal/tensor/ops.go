@@ -10,8 +10,9 @@ func (t *Tensor) Add(o *Tensor) error {
 	if len(t.data) != len(o.data) {
 		return fmt.Errorf("%w: add %v to %v", ErrShape, o.shape, t.shape)
 	}
+	td := t.data[:len(o.data)]
 	for i, v := range o.data {
-		t.data[i] += v
+		td[i] += v
 	}
 	return nil
 }
@@ -168,10 +169,11 @@ func (t *Tensor) AddRowVector(v *Tensor) error {
 	if len(v.data) != c {
 		return fmt.Errorf("%w: row vector %v for matrix %v", ErrShape, v.shape, t.shape)
 	}
+	vd := v.data[:c]
 	for i := 0; i < n; i++ {
-		row := t.data[i*c : (i+1)*c]
-		for j := range row {
-			row[j] += v.data[j]
+		row := t.data[i*c:][:c]
+		for j, x := range vd {
+			row[j] += x
 		}
 	}
 	return nil
