@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"fedfteds/internal/metrics"
-	"fedfteds/internal/sched"
 	"fedfteds/internal/simtime"
 	"fedfteds/internal/strategy"
 	"fedfteds/internal/tensor"
@@ -119,6 +118,8 @@ func (r *Runner) RunFleetAsync(acfg FleetAsyncConfig) (History, error) {
 		bufs    []*tensor.Tensor
 	}
 	pend := make(map[int]*flight, window)
+	// busy marks pend's keys by position for the refill's candidate scan.
+	busy := make([]bool, n)
 	var bufFree [][]*tensor.Tensor
 	var q simtime.EventQueue
 	now := 0.0
@@ -128,29 +129,7 @@ func (r *Runner) RunFleetAsync(acfg FleetAsyncConfig) (History, error) {
 	// in-flight positions are excluded from the candidate set itself (not
 	// just flagged): availability wrappers overwrite the Available flag from
 	// their own churn state, and a client cannot train two models at once.
-	var cands []sched.Candidate
-	pick := func(round, k int) []int {
-		cands = cands[:0]
-		for i := 0; i < n; i++ {
-			if _, busy := pend[i]; busy {
-				continue
-			}
-			d := r.src.Describe(i)
-			cands = append(cands, sched.Candidate{
-				ClientID:         i,
-				DataSize:         d.DataSize,
-				ProjectedSeconds: r.projCost[i],
-				Available:        true,
-				Cluster:          d.Cluster,
-			})
-		}
-		if len(cands) == 0 {
-			return nil
-		}
-		r.utility.Stamp(cands)
-		srng := tensor.NewRand(uint64(r.cfg.Seed), uint64(round), sched.StreamTag)
-		return r.cfg.Scheduler.Schedule(round, cands, k, srng)
-	}
+	pick := func(round, k int) []int { return r.schedule(round, k, busy) }
 
 	dispatch := func(positions []int, round int, at float64) error {
 		if len(positions) == 0 {
@@ -188,6 +167,7 @@ func (r *Runner) RunFleetAsync(acfg FleetAsyncConfig) (History, error) {
 			}
 			res.state = bufs
 			pend[pos] = &flight{res: res, version: version, bufs: bufs}
+			busy[pos] = true
 			q.Push(simtime.Event{Time: at + r.projCost[pos], ID: pos})
 		}
 		return nil
@@ -229,6 +209,7 @@ func (r *Runner) RunFleetAsync(acfg FleetAsyncConfig) (History, error) {
 				r.acct.AddRound(fl.res.cost)
 				departed++
 				delete(pend, ev.ID)
+				busy[ev.ID] = false
 				bufFree = append(bufFree, fl.bufs)
 				continue
 			}
@@ -240,6 +221,7 @@ func (r *Runner) RunFleetAsync(acfg FleetAsyncConfig) (History, error) {
 				r.acct.AddCommunication(stateSize, stateSize)
 				discarded++
 				delete(pend, ev.ID)
+				busy[ev.ID] = false
 				bufFree = append(bufFree, fl.bufs)
 				redisp = append(redisp[:0], ev.ID)
 				if err := dispatch(redisp, agg, now); err != nil {
@@ -266,6 +248,7 @@ func (r *Runner) RunFleetAsync(acfg FleetAsyncConfig) (History, error) {
 			aggLam = append(aggLam, lam)
 			usedBufs = append(usedBufs, fl.bufs)
 			delete(pend, pos)
+			busy[pos] = false
 		}
 		if err := r.aggregate(aggRes, commState, aggLam); err != nil {
 			return r.hist, err

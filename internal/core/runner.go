@@ -503,6 +503,9 @@ func (r *Runner) prepareRoundMasks(participants []*Client, positions []int, roun
 // depends on which groups the client's mask lets train). Costs are computed
 // from descriptors alone — the source contract pins Describe to what Acquire
 // materializes, so the eager and fleet paths project identical costs.
+// Per-sample FLOPs depend only on the model and the trainable groups, so
+// they are computed once here (once per tier on tiered runs); each client
+// adds only the arithmetic over its device rate and dataset size.
 func (r *Runner) cacheProjectedCosts() error {
 	n := r.src.NumClients()
 	r.projCost = make([]float64, n)
@@ -510,21 +513,27 @@ func (r *Runner) cacheProjectedCosts() error {
 	for i := range r.allIDs {
 		r.allIDs[i] = i
 	}
+	flops := simtime.ModelFLOPs(r.global)
+	var tierFLOPs map[string]simtime.SampleFLOPs
+	if r.tiers != nil {
+		tierFLOPs = make(map[string]simtime.SampleFLOPs, len(r.tierMasks))
+		for tier, mask := range r.tierMasks {
+			train, err := r.global.TrainFLOPsPerSampleFor(mask)
+			if err != nil {
+				return fmt.Errorf("core: projecting cost for tier %s: %w", tier, err)
+			}
+			tierFLOPs[tier] = simtime.SampleFLOPs{Forward: flops.Forward, Train: float64(train)}
+		}
+	}
+	passes := r.cfg.Selector.ScoringPasses()
 	for i := 0; i < n; i++ {
 		d := r.src.Describe(i)
-		var (
-			cost simtime.RoundCost
-			err  error
-		)
+		f := flops
 		if r.tiers != nil {
-			cost, err = simtime.ClientRoundCostFor(r.global, r.tierMasks[r.tiers[i]], d.Device,
-				d.DataSize, projectedSelected(d.DataSize, r.cfg.SelectFraction),
-				r.cfg.LocalEpochs, r.cfg.Selector.ScoringPasses())
-		} else {
-			cost, err = simtime.ClientRoundCost(r.global, d.Device,
-				d.DataSize, projectedSelected(d.DataSize, r.cfg.SelectFraction),
-				r.cfg.LocalEpochs, r.cfg.Selector.ScoringPasses())
+			f = tierFLOPs[r.tiers[i]]
 		}
+		cost, err := f.RoundCost(d.Device, d.DataSize, projectedSelected(d.DataSize, r.cfg.SelectFraction),
+			r.cfg.LocalEpochs, passes)
 		if err != nil {
 			return fmt.Errorf("core: projecting cost for client %d: %w", i, err)
 		}
@@ -538,36 +547,9 @@ func (r *Runner) cacheProjectedCosts() error {
 // within it. It returns the participants, their pool positions (parallel),
 // and the cohort size the scheduler admitted.
 func (r *Runner) sampleParticipants(round int) ([]*Client, []int, int, error) {
-	ids := r.allIDs
-	times := r.projCost
-
-	cohort, cohortTimes := ids, times
+	cohort, cohortTimes := r.allIDs, r.projCost
 	if r.cfg.Scheduler != nil {
-		// Candidates are keyed by pool position, the same key the straggler
-		// policy and the utility tracker use. The slice is runner scratch,
-		// rebuilt in place every round (every field is overwritten, so no
-		// stale state survives reuse).
-		n := r.src.NumClients()
-		if cap(r.candScratch) < n {
-			r.candScratch = make([]sched.Candidate, n)
-		}
-		cands := r.candScratch[:n]
-		for i := 0; i < n; i++ {
-			d := r.src.Describe(i)
-			cands[i] = sched.Candidate{
-				ClientID:         i,
-				DataSize:         d.DataSize,
-				ProjectedSeconds: times[i],
-				Available:        true,
-				Cluster:          d.Cluster,
-			}
-			if r.tiers != nil {
-				cands[i].Tier = r.tiers[i]
-			}
-		}
-		r.utility.Stamp(cands)
-		srng := tensor.NewRand(uint64(r.cfg.Seed), uint64(round), sched.StreamTag)
-		cohort = r.cfg.Scheduler.Schedule(round, cands, r.cfg.CohortSize, srng)
+		cohort = r.schedule(round, r.cfg.CohortSize, nil)
 		if len(cohort) == 0 {
 			return nil, nil, 0, fmt.Errorf("core: scheduler %s returned an empty cohort in round %d",
 				r.cfg.Scheduler.Name(), round)
@@ -581,7 +563,7 @@ func (r *Runner) sampleParticipants(round int) ([]*Client, []int, int, error) {
 				return nil, nil, 0, fmt.Errorf("core: scheduler %s returned unknown client %d in round %d",
 					r.cfg.Scheduler.Name(), idx, round)
 			}
-			cohortTimes[i] = times[idx]
+			cohortTimes[i] = r.projCost[idx]
 		}
 	}
 
@@ -613,6 +595,44 @@ func (r *Runner) sampleParticipants(round int) ([]*Client, []int, int, error) {
 	}
 	r.partScratch = out
 	return out, chosen, len(cohort), nil
+}
+
+// schedule asks the configured scheduler for k clients of round among the
+// pool positions not marked in skip (nil skips none). Candidates are keyed by
+// pool position, the same key the straggler policy and the utility tracker
+// use, and built from descriptors and the cached projected costs into
+// runner scratch rebuilt in place every call (every field is overwritten, so
+// no stale state survives reuse). It returns nil when every position is
+// skipped.
+func (r *Runner) schedule(round, k int, skip []bool) []int {
+	n := r.src.NumClients()
+	if cap(r.candScratch) < n {
+		r.candScratch = make([]sched.Candidate, n)
+	}
+	cands := r.candScratch[:0]
+	for i := 0; i < n; i++ {
+		if skip != nil && skip[i] {
+			continue
+		}
+		d := r.src.Describe(i)
+		c := sched.Candidate{
+			ClientID:         i,
+			DataSize:         d.DataSize,
+			ProjectedSeconds: r.projCost[i],
+			Available:        true,
+			Cluster:          d.Cluster,
+		}
+		if r.tiers != nil {
+			c.Tier = r.tiers[i]
+		}
+		cands = append(cands, c)
+	}
+	if len(cands) == 0 {
+		return nil
+	}
+	r.utility.Stamp(cands)
+	srng := tensor.NewRand(uint64(r.cfg.Seed), uint64(round), sched.StreamTag)
+	return r.cfg.Scheduler.Schedule(round, cands, k, srng)
 }
 
 // projectedSelected mirrors the selector's targetCount for cost projection.

@@ -52,3 +52,59 @@ func BenchmarkPowerOfD100k(b *testing.B)       { benchSchedule(b, PowerOfD{}) }
 func BenchmarkAvailability100k(b *testing.B) {
 	benchSchedule(b, &Availability{Inner: UniformRandom{}, DownProb: 0.1, UpProb: 0.3})
 }
+
+// Fleet-shaped scheduling: the perfbench fleet-day policy, trace-driven
+// availability over cluster-stratified uniform sampling, at N = 1e5
+// candidates in 8 similarity clusters with a K = 64 window refill.
+const (
+	fleetBenchClusters = 8
+	fleetBenchK        = 64
+)
+
+// clusteredBenchCandidates is benchCandidates spread over 8 clusters of
+// unequal size.
+func clusteredBenchCandidates() []Candidate {
+	cands := benchCandidates()
+	rng := rand.New(rand.NewSource(43))
+	for i := range cands {
+		// Squaring skews the draw toward low cluster indices.
+		u := rng.Float64()
+		cands[i].Cluster = int(u * u * fleetBenchClusters)
+	}
+	return cands
+}
+
+// diurnalTrace mirrors fleet.DiurnalTraceText(n): a 24-slot day in which the
+// first third of clients is down during slots 0-7 and the middle third
+// during slots 12-19.
+func diurnalTrace(n int) func(round, clientID int) bool {
+	third := n / 3
+	return func(round, clientID int) bool {
+		slot := (round - 1) % 24
+		switch {
+		case clientID < third:
+			return slot > 7
+		case clientID < 2*third:
+			return slot < 12 || slot > 19
+		}
+		return true
+	}
+}
+
+// clusterTraceScheduler is the fleet-day policy over an n-client trace.
+func clusterTraceScheduler(n int) *Availability {
+	return &Availability{Inner: ClusterSampling{Inner: UniformRandom{}}, Trace: diurnalTrace(n), TraceName: "diurnal"}
+}
+
+func BenchmarkClusterTrace100k(b *testing.B) {
+	cands := clusteredBenchCandidates()
+	s := clusterTraceScheduler(len(cands))
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if cohort := s.Schedule(i+1, cands, fleetBenchK, rng); len(cohort) != fleetBenchK {
+			b.Fatalf("cohort of %d, want %d", len(cohort), fleetBenchK)
+		}
+	}
+}

@@ -120,6 +120,52 @@ func availableSet(cands []Candidate) []int {
 	return out
 }
 
+// shuffle permutes idx in place with exactly the draws rng.Perm(len(idx))
+// makes: afterwards idx[p] holds what idx[perm[p]] held before, for the
+// permutation perm that Perm would have returned. Swapping in place is the
+// same inside-out Fisher–Yates walk, so cohorts match a Perm-indexed draw
+// bit for bit without allocating the permutation.
+func shuffle(idx []int, rng *rand.Rand) {
+	for i := range idx {
+		j := rng.Intn(i + 1)
+		idx[i], idx[j] = idx[j], idx[i]
+	}
+}
+
+// subsetScheduler is a policy that can draw its cohort from a subset of the
+// candidates, given as ascending indices of available ones, without copying
+// them out: Schedule(round, cands, k, rng) is scheduleFrom(round, cands,
+// availableSet(cands), k, rng). Every shipped policy except Availability
+// implements it, which lets the wrappers hand their inner policy churn
+// survivors or one cluster's members in place. scheduleFrom may reorder
+// avail.
+type subsetScheduler interface {
+	scheduleFrom(round int, cands []Candidate, avail []int, k int, rng *rand.Rand) []int
+}
+
+// scheduleSubset runs s over the candidates at the ascending indices avail:
+// in place when s takes a subset, otherwise through Schedule over masked — a
+// copy of cands (into buf, reused when large enough) with exactly the avail
+// entries marked available.
+func scheduleSubset(s Scheduler, round int, cands []Candidate, avail []int, k int, rng *rand.Rand,
+	buf *[]Candidate) []int {
+	if sub, ok := s.(subsetScheduler); ok {
+		return sub.scheduleFrom(round, cands, avail, k, rng)
+	}
+	if cap(*buf) < len(cands) {
+		*buf = make([]Candidate, len(cands))
+	}
+	masked := (*buf)[:len(cands)]
+	copy(masked, cands)
+	for i := range masked {
+		masked[i].Available = false
+	}
+	for _, i := range avail {
+		masked[i].Available = true
+	}
+	return s.Schedule(round, masked, k, rng)
+}
+
 // selectTopK returns the indices 0..n-1 of the k best items under better —
 // a strict total order (better(a, b) reports item a strictly better than
 // item b; break ties explicitly so the order is total) — as an unordered
@@ -195,15 +241,15 @@ var _ Scheduler = UniformRandom{}
 func (UniformRandom) Name() string { return "uniform" }
 
 // Schedule implements Scheduler.
-func (UniformRandom) Schedule(_ int, cands []Candidate, k int, rng *rand.Rand) []int {
-	avail := availableSet(cands)
+func (u UniformRandom) Schedule(round int, cands []Candidate, k int, rng *rand.Rand) []int {
+	return u.scheduleFrom(round, cands, availableSet(cands), k, rng)
+}
+
+// scheduleFrom implements subsetScheduler.
+func (UniformRandom) scheduleFrom(_ int, cands []Candidate, avail []int, k int, rng *rand.Rand) []int {
 	k = clampK(k, len(avail))
-	perm := rng.Perm(len(avail))
-	chosen := make([]int, 0, k)
-	for _, p := range perm[:k] {
-		chosen = append(chosen, avail[p])
-	}
-	return finishCohort(cands, chosen)
+	shuffle(avail, rng)
+	return finishCohort(cands, avail[:k])
 }
 
 // SizeWeighted samples the cohort without replacement with probability
@@ -218,8 +264,12 @@ var _ Scheduler = SizeWeighted{}
 func (SizeWeighted) Name() string { return "size" }
 
 // Schedule implements Scheduler.
-func (SizeWeighted) Schedule(_ int, cands []Candidate, k int, rng *rand.Rand) []int {
-	avail := availableSet(cands)
+func (w SizeWeighted) Schedule(round int, cands []Candidate, k int, rng *rand.Rand) []int {
+	return w.scheduleFrom(round, cands, availableSet(cands), k, rng)
+}
+
+// scheduleFrom implements subsetScheduler.
+func (SizeWeighted) scheduleFrom(_ int, cands []Candidate, avail []int, k int, rng *rand.Rand) []int {
 	k = clampK(k, len(avail))
 	keys := make([]float64, len(avail))
 	for i, idx := range avail {
@@ -263,12 +313,16 @@ const DefaultEpsilon = 0.1
 func (EntropyUtility) Name() string { return "entropy" }
 
 // Schedule implements Scheduler.
-func (e EntropyUtility) Schedule(_ int, cands []Candidate, k int, rng *rand.Rand) []int {
+func (e EntropyUtility) Schedule(round int, cands []Candidate, k int, rng *rand.Rand) []int {
+	return e.scheduleFrom(round, cands, availableSet(cands), k, rng)
+}
+
+// scheduleFrom implements subsetScheduler.
+func (e EntropyUtility) scheduleFrom(_ int, cands []Candidate, avail []int, k int, rng *rand.Rand) []int {
 	eps := e.Epsilon
 	if eps == 0 {
 		eps = DefaultEpsilon
 	}
-	avail := availableSet(cands)
 	k = clampK(k, len(avail))
 	nExplore := int(math.Round(eps * float64(k)))
 	if nExplore < 0 {
@@ -319,13 +373,8 @@ func (e EntropyUtility) Schedule(_ int, cands []Candidate, k int, rng *rand.Rand
 			rest = append(rest, idx)
 		}
 	}
-	perm := rng.Perm(len(rest))
-	for _, p := range perm {
-		if len(chosen) >= k {
-			break
-		}
-		chosen = append(chosen, rest[p])
-	}
+	shuffle(rest, rng)
+	chosen = append(chosen, rest[:k-len(chosen)]...)
 	return finishCohort(cands, chosen)
 }
 
@@ -348,22 +397,23 @@ const DefaultD = 2
 func (PowerOfD) Name() string { return "powerd" }
 
 // Schedule implements Scheduler.
-func (p PowerOfD) Schedule(_ int, cands []Candidate, k int, rng *rand.Rand) []int {
+func (p PowerOfD) Schedule(round int, cands []Candidate, k int, rng *rand.Rand) []int {
+	return p.scheduleFrom(round, cands, availableSet(cands), k, rng)
+}
+
+// scheduleFrom implements subsetScheduler.
+func (p PowerOfD) scheduleFrom(_ int, cands []Candidate, avail []int, k int, rng *rand.Rand) []int {
 	d := p.D
 	if d <= 0 {
 		d = DefaultD
 	}
-	avail := availableSet(cands)
 	k = clampK(k, len(avail))
 	pool := d * k
 	if pool > len(avail) {
 		pool = len(avail)
 	}
-	perm := rng.Perm(len(avail))
-	sampled := make([]int, 0, pool)
-	for _, pi := range perm[:pool] {
-		sampled = append(sampled, avail[pi])
-	}
+	shuffle(avail, rng)
+	sampled := avail[:pool]
 	sort.SliceStable(sampled, func(a, b int) bool {
 		ta, tb := cands[sampled[a]].ProjectedSeconds, cands[sampled[b]].ProjectedSeconds
 		if ta != tb {
@@ -393,8 +443,12 @@ func (TierBalanced) Name() string { return "tier" }
 
 // Schedule implements Scheduler. Tiers draw from rng in ascending tier-name
 // order, so the cohort is reproducible from the seed.
-func (TierBalanced) Schedule(_ int, cands []Candidate, k int, rng *rand.Rand) []int {
-	avail := availableSet(cands)
+func (t TierBalanced) Schedule(round int, cands []Candidate, k int, rng *rand.Rand) []int {
+	return t.scheduleFrom(round, cands, availableSet(cands), k, rng)
+}
+
+// scheduleFrom implements subsetScheduler.
+func (TierBalanced) scheduleFrom(_ int, cands []Candidate, avail []int, k int, rng *rand.Rand) []int {
 	k = clampK(k, len(avail))
 	byTier := make(map[string][]int)
 	for _, idx := range avail {
@@ -445,10 +499,8 @@ func (TierBalanced) Schedule(_ int, cands []Candidate, k int, rng *rand.Rand) []
 	chosen := make([]int, 0, k)
 	for i, t := range tiers {
 		pool := byTier[t]
-		perm := rng.Perm(len(pool))
-		for _, p := range perm[:counts[i]] {
-			chosen = append(chosen, pool[p])
-		}
+		shuffle(pool, rng)
+		chosen = append(chosen, pool[:counts[i]]...)
 	}
 	return finishCohort(cands, chosen)
 }
@@ -489,33 +541,63 @@ func (c ClusterSampling) inner() Scheduler {
 // order (one inner call per cluster), so cohorts are reproducible from the
 // seed.
 func (c ClusterSampling) Schedule(round int, cands []Candidate, k int, rng *rand.Rand) []int {
-	avail := availableSet(cands)
+	return c.scheduleFrom(round, cands, availableSet(cands), k, rng)
+}
+
+// scheduleFrom implements subsetScheduler.
+func (c ClusterSampling) scheduleFrom(round int, cands []Candidate, avail []int, k int, rng *rand.Rand) []int {
 	k = clampK(k, len(avail))
-	byCluster := make(map[int][]int)
-	for _, idx := range avail {
-		cl := cands[idx].Cluster
-		byCluster[cl] = append(byCluster[cl], idx)
+	inner := c.inner()
+	var lo, hi int
+	for j, i := range avail {
+		if cl := cands[i].Cluster; j == 0 {
+			lo, hi = cl, cl
+		} else if cl < lo {
+			lo = cl
+		} else if cl > hi {
+			hi = cl
+		}
 	}
-	if len(byCluster) <= 1 {
-		return c.inner().Schedule(round, cands, k, rng)
+	if lo == hi {
+		var masked []Candidate
+		return scheduleSubset(inner, round, cands, avail, k, rng, &masked)
 	}
-	clusters := make([]int, 0, len(byCluster))
-	for cl := range byCluster {
-		clusters = append(clusters, cl)
+
+	// Bucket avail by cluster with a counting pass into one flat slice: slot
+	// s's members are flat[start[s]:start[s+1]], ascending.
+	slot, nSlots := clusterSlots(cands, avail, lo, hi)
+	start := make([]int, nSlots+1)
+	for _, i := range avail {
+		start[slot(cands[i].Cluster)+1]++
 	}
-	sort.Ints(clusters)
+	for s := 0; s < nSlots; s++ {
+		start[s+1] += start[s]
+	}
+	flat := make([]int, len(avail))
+	next := append([]int(nil), start[:nSlots]...)
+	for _, i := range avail {
+		s := slot(cands[i].Cluster)
+		flat[next[s]] = i
+		next[s]++
+	}
+	// The non-empty slots, ascending — the present clusters in cluster order.
+	var clusters []int
+	for s := 0; s < nSlots; s++ {
+		if start[s+1] > start[s] {
+			clusters = append(clusters, s)
+		}
+	}
+	members := func(i int) []int { return flat[start[clusters[i]]:start[clusters[i]+1]] }
 
 	// Proportional slots per cluster by largest remainder, ties to the lower
 	// cluster index (sort.SliceStable over the ascending cluster order).
 	counts := make([]int, len(clusters))
 	rems := make([]float64, len(clusters))
 	assigned := 0
-	for i, cl := range clusters {
-		exact := float64(k) * float64(len(byCluster[cl])) / float64(len(avail))
-		counts[i] = int(exact)
-		if counts[i] > len(byCluster[cl]) {
-			counts[i] = len(byCluster[cl])
-		}
+	for i := range clusters {
+		size := len(members(i))
+		exact := float64(k) * float64(size) / float64(len(avail))
+		counts[i] = min(int(exact), size)
 		rems[i] = exact - float64(counts[i])
 		assigned += counts[i]
 	}
@@ -530,7 +612,7 @@ func (c ClusterSampling) Schedule(round int, cands []Candidate, k int, rng *rand
 			if assigned >= k {
 				break
 			}
-			if counts[i] < len(byCluster[clusters[i]]) {
+			if counts[i] < len(members(i)) {
 				counts[i]++
 				assigned++
 				grew = true
@@ -542,22 +624,50 @@ func (c ClusterSampling) Schedule(round int, cands []Candidate, k int, rng *rand
 	}
 
 	// Each cluster's slots are filled by the inner policy over that
-	// cluster's candidates only. The sub-slice preserves global ClientIDs,
-	// so the inner cohort needs no re-mapping.
+	// cluster's members only. A policy outside this package gets them as
+	// copies in one sub-slice; either way the cohort carries global
+	// ClientIDs and needs no re-mapping.
 	ids := make([]int, 0, k)
-	sub := make([]Candidate, 0, 64)
-	for i, cl := range clusters {
+	var sub []Candidate
+	for i := range clusters {
 		if counts[i] == 0 {
 			continue
 		}
+		if direct, ok := inner.(subsetScheduler); ok {
+			ids = append(ids, direct.scheduleFrom(round, cands, members(i), counts[i], rng)...)
+			continue
+		}
 		sub = sub[:0]
-		for _, idx := range byCluster[cl] {
+		for _, idx := range members(i) {
 			sub = append(sub, cands[idx])
 		}
-		ids = append(ids, c.inner().Schedule(round, sub, counts[i], rng)...)
+		ids = append(ids, inner.Schedule(round, sub, counts[i], rng)...)
 	}
 	sort.Ints(ids)
 	return ids
+}
+
+// clusterSlots maps the cluster ids of the candidates at avail, which span
+// [lo, hi], onto dense slots in ascending id order. Ids spanning no more
+// slots than there are candidates (a fleet's 0..C-1) map to cl-lo; sparser
+// ids map to their rank among the distinct ids.
+func clusterSlots(cands []Candidate, avail []int, lo, hi int) (slot func(int) int, nSlots int) {
+	if span := uint64(hi) - uint64(lo); span < uint64(len(avail)) {
+		return func(cl int) int { return cl - lo }, int(span) + 1
+	}
+	rank := make(map[int]int)
+	for _, i := range avail {
+		rank[cands[i].Cluster] = 0
+	}
+	ids := make([]int, 0, len(rank))
+	for cl := range rank {
+		ids = append(ids, cl)
+	}
+	sort.Ints(ids)
+	for r, cl := range ids {
+		rank[cl] = r
+	}
+	return func(cl int) int { return rank[cl] }, len(ids)
 }
 
 // Availability composes any inner policy with client churn: each client is
@@ -589,7 +699,12 @@ type Availability struct {
 	// scheduler change gets.
 	TraceName string
 
-	up map[int]bool // Markov state; clients start up
+	up map[int]bool // Markov state; clients start up. Nil in trace mode.
+	// avail (the surviving candidates' indices) and masked (the pool copy a
+	// policy outside this package is handed instead) are kept across rounds,
+	// so a fleet-scale pool is not reallocated every round.
+	avail  []int
+	masked []Candidate
 }
 
 var _ Scheduler = (*Availability)(nil)
@@ -667,14 +782,15 @@ func (a *Availability) inner() Scheduler {
 // inner policy does, in ascending candidate order, so a run is reproducible
 // from its seed.
 func (a *Availability) Schedule(round int, cands []Candidate, k int, rng *rand.Rand) []int {
-	if a.up == nil {
+	if a.Trace == nil && a.up == nil {
 		a.up = make(map[int]bool, len(cands))
 	}
-	masked := make([]Candidate, len(cands))
-	copy(masked, cands)
-	anyUp := false
-	for i := range masked {
-		id := masked[i].ClientID
+	if cap(a.avail) < len(cands) {
+		a.avail = make([]int, 0, len(cands))
+	}
+	avail := a.avail[:0]
+	for i := range cands {
+		id := cands[i].ClientID
 		var up bool
 		if a.Trace != nil {
 			up = a.Trace(round, id)
@@ -690,26 +806,25 @@ func (a *Availability) Schedule(round int, cands []Candidate, k int, rng *rand.R
 			}
 			a.up[id] = up
 		}
-		masked[i].Available = masked[i].Available && up
-		if masked[i].Available {
-			anyUp = true
+		if up && cands[i].Available {
+			avail = append(avail, i)
 		}
 	}
-	if !anyUp {
+	if len(avail) == 0 {
 		// Churn took the whole pool down: force the lowest-ID candidate back
 		// up — but only among those the *caller* considered available; a
 		// candidate the caller marked unreachable must never be scheduled.
 		lowest := -1
-		for i := range masked {
-			if cands[i].Available && (lowest < 0 || masked[i].ClientID < masked[lowest].ClientID) {
+		for i := range cands {
+			if cands[i].Available && (lowest < 0 || cands[i].ClientID < cands[lowest].ClientID) {
 				lowest = i
 			}
 		}
 		if lowest >= 0 {
-			masked[lowest].Available = true
+			avail = append(avail, lowest)
 		}
 	}
-	return a.inner().Schedule(round, masked, k, rng)
+	return scheduleSubset(a.inner(), round, cands, avail, k, rng, &a.masked)
 }
 
 // PolicyNames lists the identifiers Parse accepts, in display order.

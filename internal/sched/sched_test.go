@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -522,5 +523,95 @@ func TestTrackerExportRestore(t *testing.T) {
 	tr2.Restore(nil, nil)
 	if _, ok := tr2.Utility(1); ok {
 		t.Fatal("Restore(nil, nil) did not clear")
+	}
+}
+
+// TestAvailabilityTraceModeKeepsNoChurnState: replaying a trace never touches
+// the Markov chain, so the trace-mode snapshot is the empty state and it
+// round-trips through RestoreState.
+func TestAvailabilityTraceModeKeepsNoChurnState(t *testing.T) {
+	a := &Availability{Inner: UniformRandom{}, Trace: func(round, id int) bool { return (round+id)%3 != 0 }}
+	cands := makeCandidates(40)
+	for round := 1; round <= 4; round++ {
+		a.Schedule(round, cands, 5, rand.New(rand.NewSource(int64(round))))
+	}
+	if a.up != nil {
+		t.Fatalf("trace mode allocated Markov state for %d clients", len(a.up))
+	}
+	blob, err := a.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(blob, make([]byte, 8)) {
+		t.Fatalf("trace-mode snapshot %x, want the empty state", blob)
+	}
+	if err := a.RestoreState(blob); err != nil {
+		t.Fatal(err)
+	}
+	again, err := a.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, blob) {
+		t.Fatalf("restored snapshot %x, want %x", again, blob)
+	}
+}
+
+// TestClusterTraceScheduleAllocBound bounds what one steady-state Schedule
+// call of the fleet-day policy allocates over a 1e5-candidate pool: the
+// availability mask lives in a buffer kept across rounds and clusters are
+// bucketed into one flat index slice, so a call allocates well under one
+// copy of the pool (7.2 MB of candidates).
+func TestClusterTraceScheduleAllocBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1e5-candidate pool")
+	}
+	const bound = 4 << 20
+	cands := clusteredBenchCandidates()
+	s := clusterTraceScheduler(len(cands))
+	rng := rand.New(rand.NewSource(1))
+	s.Schedule(1, cands, fleetBenchK, rng) // sizes the kept mask buffer
+	var before, after runtime.MemStats
+	// Rounds across the day: all up, first third down, middle third down.
+	for _, round := range []int{2, 9, 10, 13, 21, 25} {
+		runtime.ReadMemStats(&before)
+		s.Schedule(round, cands, fleetBenchK, rng)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+			t.Errorf("round %d: Schedule allocated %d bytes, bound %d", round, got, bound)
+		}
+	}
+}
+
+// TestTrackerStampMatchesLookups: both Stamp strategies — binary search over
+// an ascending pool, a lookup per candidate otherwise — leave every
+// candidate exactly as Utility reports it, overwriting stale values.
+func TestTrackerStampMatchesLookups(t *testing.T) {
+	tr := NewTracker()
+	rng := rand.New(rand.NewSource(8))
+	for i := 0; i < 40; i++ {
+		tr.Observe(rng.Intn(300), rng.Float64(), 1)
+	}
+	ascending := make([]Candidate, 0, 150)
+	for id := 0; id < 300; id += 2 {
+		ascending = append(ascending, Candidate{ClientID: id, Utility: 9, HasUtility: true})
+	}
+	shuffled := append([]Candidate(nil), ascending...)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for name, cands := range map[string][]Candidate{"ascending": ascending, "shuffled": shuffled} {
+		tr.Stamp(cands)
+		scored := 0
+		for _, c := range cands {
+			u, ok := tr.Utility(c.ClientID)
+			if c.Utility != u || c.HasUtility != ok {
+				t.Fatalf("%s: client %d stamped %v,%v, store has %v,%v", name, c.ClientID, c.Utility, c.HasUtility, u, ok)
+			}
+			if ok {
+				scored++
+			}
+		}
+		if scored == 0 || scored == len(cands) {
+			t.Fatalf("%s: %d of %d scored; the pool must mix both", name, scored, len(cands))
+		}
 	}
 }

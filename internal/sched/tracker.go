@@ -1,6 +1,9 @@
 package sched
 
-import "math"
+import (
+	"math"
+	"sort"
+)
 
 // Tracker accumulates the per-client utility feedback the server observes
 // over a run: each completed round, a participant's reported mean EDS
@@ -70,10 +73,30 @@ func (t *Tracker) Utility(clientID int) (float64, bool) {
 func (t *Tracker) Seconds(clientID int) float64 { return t.seconds[clientID] }
 
 // Stamp fills each candidate's Utility/HasUtility from the store, leaving
-// the other fields untouched.
+// the other fields untouched. A pool in strictly ascending ClientID order —
+// the simulator and the server both build one — is stamped by clearing every
+// candidate and placing each stored utility by binary search, one pass plus
+// O(m log n) for m stored clients instead of a map lookup per candidate,
+// which dominates at fleet scale (n = 1e5 candidates, m ≈ 1e3 stored).
 func (t *Tracker) Stamp(cands []Candidate) {
+	ascending := true
 	for i := range cands {
-		cands[i].Utility, cands[i].HasUtility = t.Utility(cands[i].ClientID)
+		cands[i].Utility, cands[i].HasUtility = 0, false
+		if i > 0 && cands[i].ClientID <= cands[i-1].ClientID {
+			ascending = false
+		}
+	}
+	if !ascending {
+		for i := range cands {
+			cands[i].Utility, cands[i].HasUtility = t.Utility(cands[i].ClientID)
+		}
+		return
+	}
+	for id, u := range t.util {
+		j := sort.Search(len(cands), func(j int) bool { return cands[j].ClientID >= id })
+		if j < len(cands) && cands[j].ClientID == id {
+			cands[j].Utility, cands[j].HasUtility = u, true
+		}
 	}
 }
 

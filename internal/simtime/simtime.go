@@ -61,29 +61,31 @@ type RoundCost struct {
 // Total returns the round's total client seconds.
 func (c RoundCost) Total() float64 { return c.SelectionSeconds + c.TrainSeconds }
 
-// ClientRoundCost computes the simulated time of one client round:
-// scoringPasses forward passes over the full local dataset (the selector's
-// cost) plus epochs passes of forward+partial-backward over the selected
-// subset. The model's current finetune part determines the backward cost.
+// SampleFLOPs is a model's per-sample compute: Forward for one forward pass
+// (what a selector's scoring pass costs) and Train for one training step
+// (forward plus the partial backward). They depend only on the model's
+// shape and trainable groups, so a run computes them once and costs every
+// client with RoundCost.
+type SampleFLOPs struct {
+	Forward, Train float64
+}
+
+// ModelFLOPs returns m's per-sample costs under its current frozen state.
+func ModelFLOPs(m *models.Model) SampleFLOPs {
+	return SampleFLOPs{Forward: float64(m.ForwardFLOPsPerSample()), Train: float64(m.TrainFLOPsPerSample())}
+}
+
+// ClientRoundCost computes the simulated time of one client round of m (see
+// SampleFLOPs.RoundCost). The model's current finetune part determines the
+// backward cost.
 func ClientRoundCost(m *models.Model, dev Device, localSize, selectedSize, epochs, scoringPasses int) (RoundCost, error) {
-	return clientRoundCost(float64(m.ForwardFLOPsPerSample()), float64(m.TrainFLOPsPerSample()),
-		dev, localSize, selectedSize, epochs, scoringPasses)
+	return ModelFLOPs(m).RoundCost(dev, localSize, selectedSize, epochs, scoringPasses)
 }
 
-// ClientRoundCostFor is ClientRoundCost with the training cost projected for
-// the given trainable-group mask instead of the model's current frozen
-// state. Per-client partial training uses it to cost each tier's mask
-// without mutating the shared global model.
-func ClientRoundCostFor(m *models.Model, groups []string, dev Device, localSize, selectedSize, epochs, scoringPasses int) (RoundCost, error) {
-	train, err := m.TrainFLOPsPerSampleFor(groups)
-	if err != nil {
-		return RoundCost{}, fmt.Errorf("%w: %v", ErrSim, err)
-	}
-	return clientRoundCost(float64(m.ForwardFLOPsPerSample()), float64(train),
-		dev, localSize, selectedSize, epochs, scoringPasses)
-}
-
-func clientRoundCost(fwd, train float64, dev Device, localSize, selectedSize, epochs, scoringPasses int) (RoundCost, error) {
+// RoundCost computes the simulated time of one client round: scoringPasses
+// forward passes over the full local dataset (the selector's cost) plus
+// epochs training steps over each sample of the selected subset.
+func (f SampleFLOPs) RoundCost(dev Device, localSize, selectedSize, epochs, scoringPasses int) (RoundCost, error) {
 	if localSize < 0 || selectedSize < 0 || selectedSize > localSize || epochs < 0 || scoringPasses < 0 {
 		return RoundCost{}, fmt.Errorf("%w: local=%d selected=%d epochs=%d passes=%d",
 			ErrSim, localSize, selectedSize, epochs, scoringPasses)
@@ -92,8 +94,8 @@ func clientRoundCost(fwd, train float64, dev Device, localSize, selectedSize, ep
 		return RoundCost{}, fmt.Errorf("%w: device rate %v", ErrSim, dev.FLOPSRate)
 	}
 	return RoundCost{
-		SelectionSeconds: float64(scoringPasses) * fwd * float64(localSize) / dev.FLOPSRate,
-		TrainSeconds:     float64(epochs) * train * float64(selectedSize) / dev.FLOPSRate,
+		SelectionSeconds: float64(scoringPasses) * f.Forward * float64(localSize) / dev.FLOPSRate,
+		TrainSeconds:     float64(epochs) * f.Train * float64(selectedSize) / dev.FLOPSRate,
 	}, nil
 }
 
