@@ -109,17 +109,17 @@ func (r *Runner) RunFleetAsync(acfg FleetAsyncConfig) (History, error) {
 	}
 	r.maskActive = false
 
-	// In-flight state is keyed by pool position and bounded by the window:
-	// the buffered update (in owned tensors from a free list), and the model
-	// version it trained against.
+	// In-flight state is indexed by pool position (nil when the client is
+	// not in flight): the buffered update (in owned tensors from a free
+	// list), and the model version it trained against. Every in-flight
+	// client has exactly one arrival event queued until it is popped, so
+	// the window's occupancy between aggregations is q.Len().
 	type flight struct {
 		res     clientResult
 		version int
 		bufs    []*tensor.Tensor
 	}
-	pend := make(map[int]*flight, window)
-	// busy marks pend's keys by position for the refill's candidate scan.
-	busy := make([]bool, n)
+	pend := make([]*flight, n)
 	var bufFree [][]*tensor.Tensor
 	var q simtime.EventQueue
 	now := 0.0
@@ -129,7 +129,9 @@ func (r *Runner) RunFleetAsync(acfg FleetAsyncConfig) (History, error) {
 	// in-flight positions are excluded from the candidate set itself (not
 	// just flagged): availability wrappers overwrite the Available flag from
 	// their own churn state, and a client cannot train two models at once.
-	pick := func(round, k int) []int { return r.schedule(round, k, busy) }
+	pick := func(round, k int) []int {
+		return r.schedule(round, k, func(pos int) bool { return pend[pos] != nil })
+	}
 
 	dispatch := func(positions []int, round int, at float64) error {
 		if len(positions) == 0 {
@@ -167,7 +169,6 @@ func (r *Runner) RunFleetAsync(acfg FleetAsyncConfig) (History, error) {
 			}
 			res.state = bufs
 			pend[pos] = &flight{res: res, version: version, bufs: bufs}
-			busy[pos] = true
 			q.Push(simtime.Event{Time: at + r.projCost[pos], ID: pos})
 		}
 		return nil
@@ -196,11 +197,11 @@ func (r *Runner) RunFleetAsync(acfg FleetAsyncConfig) (History, error) {
 			ev, ok := q.Pop()
 			if !ok {
 				return r.hist, fmt.Errorf("core: fleet aggregation %d starved with %d/%d updates "+
-					"buffered and %d clients in flight", agg, len(foldedPos), acfg.Buffer, len(pend))
+					"buffered and no client in flight", agg, len(foldedPos), acfg.Buffer)
 			}
 			now = ev.Time
-			fl, ok := pend[ev.ID]
-			if !ok {
+			fl := pend[ev.ID]
+			if fl == nil {
 				return r.hist, fmt.Errorf("core: arrival event for position %d with no in-flight update", ev.ID)
 			}
 			if acfg.Departed != nil && acfg.Departed(agg, fl.res.clientID) {
@@ -208,8 +209,7 @@ func (r *Runner) RunFleetAsync(acfg FleetAsyncConfig) (History, error) {
 				// compute, drop the update, free the slot for the next refill.
 				r.acct.AddRound(fl.res.cost)
 				departed++
-				delete(pend, ev.ID)
-				busy[ev.ID] = false
+				pend[ev.ID] = nil
 				bufFree = append(bufFree, fl.bufs)
 				continue
 			}
@@ -220,8 +220,7 @@ func (r *Runner) RunFleetAsync(acfg FleetAsyncConfig) (History, error) {
 				r.acct.AddRound(fl.res.cost)
 				r.acct.AddCommunication(stateSize, stateSize)
 				discarded++
-				delete(pend, ev.ID)
-				busy[ev.ID] = false
+				pend[ev.ID] = nil
 				bufFree = append(bufFree, fl.bufs)
 				redisp = append(redisp[:0], ev.ID)
 				if err := dispatch(redisp, agg, now); err != nil {
@@ -247,8 +246,7 @@ func (r *Runner) RunFleetAsync(acfg FleetAsyncConfig) (History, error) {
 			aggRes = append(aggRes, fl.res)
 			aggLam = append(aggLam, lam)
 			usedBufs = append(usedBufs, fl.bufs)
-			delete(pend, pos)
-			busy[pos] = false
+			pend[pos] = nil
 		}
 		if err := r.aggregate(aggRes, commState, aggLam); err != nil {
 			return r.hist, err
@@ -292,7 +290,7 @@ func (r *Runner) RunFleetAsync(acfg FleetAsyncConfig) (History, error) {
 		// clients not in flight, which is where trace availability decides
 		// who is reachable and cluster sampling keeps the mix stratified.
 		if agg < r.cfg.Rounds {
-			if need := window - len(pend); need > 0 {
+			if need := window - q.Len(); need > 0 {
 				if err := dispatch(pick(agg+1, need), agg+1, now); err != nil {
 					return r.hist, err
 				}

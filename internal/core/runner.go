@@ -598,20 +598,20 @@ func (r *Runner) sampleParticipants(round int) ([]*Client, []int, int, error) {
 }
 
 // schedule asks the configured scheduler for k clients of round among the
-// pool positions not marked in skip (nil skips none). Candidates are keyed by
+// pool positions skip does not report (nil skips none). Candidates are keyed by
 // pool position, the same key the straggler policy and the utility tracker
 // use, and built from descriptors and the cached projected costs into
 // runner scratch rebuilt in place every call (every field is overwritten, so
 // no stale state survives reuse). It returns nil when every position is
 // skipped.
-func (r *Runner) schedule(round, k int, skip []bool) []int {
+func (r *Runner) schedule(round, k int, skip func(pos int) bool) []int {
 	n := r.src.NumClients()
 	if cap(r.candScratch) < n {
 		r.candScratch = make([]sched.Candidate, n)
 	}
 	cands := r.candScratch[:0]
 	for i := 0; i < n; i++ {
-		if skip != nil && skip[i] {
+		if skip != nil && skip(i) {
 			continue
 		}
 		d := r.src.Describe(i)

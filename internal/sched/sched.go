@@ -558,10 +558,6 @@ func (c ClusterSampling) scheduleFrom(round int, cands []Candidate, avail []int,
 			hi = cl
 		}
 	}
-	if lo == hi {
-		var masked []Candidate
-		return scheduleSubset(inner, round, cands, avail, k, rng, &masked)
-	}
 
 	// Bucket avail by cluster with a counting pass into one flat slice: slot
 	// s's members are flat[start[s]:start[s+1]], ascending.

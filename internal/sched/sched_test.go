@@ -583,35 +583,39 @@ func TestClusterTraceScheduleAllocBound(t *testing.T) {
 	}
 }
 
-// TestTrackerStampMatchesLookups: both Stamp strategies — binary search over
-// an ascending pool, a lookup per candidate otherwise — leave every
-// candidate exactly as Utility reports it, overwriting stale values.
+// TestTrackerStampMatchesLookups: Stamp leaves every candidate of an
+// ascending pool exactly as Utility reports it, overwriting stale values,
+// and refuses a pool out of ClientID order.
 func TestTrackerStampMatchesLookups(t *testing.T) {
 	tr := NewTracker()
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 40; i++ {
 		tr.Observe(rng.Intn(300), rng.Float64(), 1)
 	}
-	ascending := make([]Candidate, 0, 150)
+	cands := make([]Candidate, 0, 150)
 	for id := 0; id < 300; id += 2 {
-		ascending = append(ascending, Candidate{ClientID: id, Utility: 9, HasUtility: true})
+		cands = append(cands, Candidate{ClientID: id, Utility: 9, HasUtility: true})
 	}
-	shuffled := append([]Candidate(nil), ascending...)
-	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	for name, cands := range map[string][]Candidate{"ascending": ascending, "shuffled": shuffled} {
-		tr.Stamp(cands)
-		scored := 0
-		for _, c := range cands {
-			u, ok := tr.Utility(c.ClientID)
-			if c.Utility != u || c.HasUtility != ok {
-				t.Fatalf("%s: client %d stamped %v,%v, store has %v,%v", name, c.ClientID, c.Utility, c.HasUtility, u, ok)
-			}
-			if ok {
-				scored++
-			}
+	tr.Stamp(cands)
+	scored := 0
+	for _, c := range cands {
+		u, ok := tr.Utility(c.ClientID)
+		if c.Utility != u || c.HasUtility != ok {
+			t.Fatalf("client %d stamped %v,%v, store has %v,%v", c.ClientID, c.Utility, c.HasUtility, u, ok)
 		}
-		if scored == 0 || scored == len(cands) {
-			t.Fatalf("%s: %d of %d scored; the pool must mix both", name, scored, len(cands))
+		if ok {
+			scored++
 		}
 	}
+	if scored == 0 || scored == len(cands) {
+		t.Fatalf("%d of %d scored; the pool must mix both", scored, len(cands))
+	}
+
+	cands[3], cands[4] = cands[4], cands[3]
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Stamp accepted a pool out of ClientID order")
+		}
+	}()
+	tr.Stamp(cands)
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"sort"
 )
@@ -73,24 +74,20 @@ func (t *Tracker) Utility(clientID int) (float64, bool) {
 func (t *Tracker) Seconds(clientID int) float64 { return t.seconds[clientID] }
 
 // Stamp fills each candidate's Utility/HasUtility from the store, leaving
-// the other fields untouched. A pool in strictly ascending ClientID order —
-// the simulator and the server both build one — is stamped by clearing every
-// candidate and placing each stored utility by binary search, one pass plus
-// O(m log n) for m stored clients instead of a map lookup per candidate,
-// which dominates at fleet scale (n = 1e5 candidates, m ≈ 1e3 stored).
+// the other fields untouched. The pool must be in strictly ascending
+// ClientID order — Runner.schedule builds it by pool position and the
+// distributed server from its sorted live client IDs — and Stamp panics
+// otherwise. Every candidate is cleared in one pass and each stored utility
+// is placed by binary search: O(n + m log n) for m stored clients instead
+// of a map lookup per candidate, which dominates at fleet scale (n = 1e5
+// candidates, m ≈ 1e3 stored).
 func (t *Tracker) Stamp(cands []Candidate) {
-	ascending := true
 	for i := range cands {
-		cands[i].Utility, cands[i].HasUtility = 0, false
 		if i > 0 && cands[i].ClientID <= cands[i-1].ClientID {
-			ascending = false
+			panic(fmt.Sprintf("sched: Stamp needs ascending client IDs, got %d after %d",
+				cands[i].ClientID, cands[i-1].ClientID))
 		}
-	}
-	if !ascending {
-		for i := range cands {
-			cands[i].Utility, cands[i].HasUtility = t.Utility(cands[i].ClientID)
-		}
-		return
+		cands[i].Utility, cands[i].HasUtility = 0, false
 	}
 	for id, u := range t.util {
 		j := sort.Search(len(cands), func(j int) bool { return cands[j].ClientID >= id })
