@@ -33,6 +33,7 @@ func TestRunExperimentDispatch(t *testing.T) {
 		{id: "fig10a", want: "fine-tuned"},
 		{id: "sched", want: "Scheduler comparison"},
 		{id: "strategies", want: "Strategy comparison"},
+		{id: "async", want: "Buffered-async comparison"},
 	} {
 		t.Run(tt.id, func(t *testing.T) {
 			out, err := runExperiment(env, tt.id, schedOptions{}, asyncOptions{}, nil, nil, nil, experiments.FleetOptions{})

@@ -5,68 +5,95 @@ import (
 	"math"
 	"sort"
 
-	"fedfteds/internal/metrics"
 	"fedfteds/internal/simtime"
 	"fedfteds/internal/strategy"
 	"fedfteds/internal/tensor"
 )
 
-// FleetAsyncConfig shapes the fleet-backed buffered-asynchronous simulator:
-// RunAsync's FedBuff semantics, but with a scheduler-driven in-flight window
-// of Config.CohortSize clients instead of the whole population, so the
-// engine's working set stays O(cohort) over a million-client fleet.
+// AsyncConfig shapes buffered-asynchronous (FedBuff-style) aggregation:
+// every client trains continuously against the model version it last
+// received, the server buffers finished updates as they arrive in simulated
+// time, and aggregates as soon as Buffer of them are in hand — discounting
+// each update by its staleness (how many aggregations the global model has
+// advanced since the update's base version was dispatched).
+type AsyncConfig struct {
+	// Buffer is M, the number of buffered updates that triggers an
+	// aggregation. Buffer = in-flight window with the identity weigher
+	// degenerates to the synchronous engine (bit for bit — see
+	// RunFleetAsync).
+	Buffer int
+	// MaxStaleness discards updates staler than this many versions instead
+	// of folding them; the discarded client immediately receives the current
+	// model. Negative means unlimited (nothing is discarded).
+	MaxStaleness int
+	// Weigher maps staleness to the discount multiplied into the strategy's
+	// aggregation weight. Nil means identity (no discount).
+	Weigher strategy.StalenessWeigher
+}
+
+// FleetAsyncConfig is AsyncConfig plus the fleet's client departures.
 type FleetAsyncConfig struct {
 	AsyncConfig
 	// Departed, when non-nil, reports that a client left the fleet before
 	// its update for the given aggregation arrived. The update is dropped —
 	// its compute is accounted (the client did train) but nothing is
-	// uplinked — and the vacated slot is refilled by the scheduler at the
-	// next aggregation boundary.
+	// uplinked — and the vacated slot is refilled at the next aggregation
+	// boundary.
 	Departed func(round, clientID int) bool
 }
 
 // RunFleetAsync executes Config.Rounds buffered-asynchronous aggregations
-// over a client source, keeping only Config.CohortSize clients in flight:
-// the scheduler admits clients into the window, each trains for its projected
-// cost in simulated time, and the server aggregates whenever Buffer updates
-// are in hand, discounting by staleness exactly as RunAsync does. Folded (and
-// departed) slots are refilled by the scheduler — over the candidates not
-// currently in flight — at the next aggregation boundary, which is where
-// trace-driven availability and cluster-stratified sampling plug in.
+// over a simulated-time event queue and returns the history (one record per
+// aggregation). Clients overlap: each trains for its projected round cost in
+// simulated seconds, reports, and is handed the then-current model when its
+// slot is refilled at an aggregation boundary (or immediately, when its
+// update was discarded as too stale). Updates fold in ascending pool
+// position, the synchronous engine's participant order.
 //
-// With Buffer = CohortSize, no departures and no staleness discards, every
+// The in-flight window is Config.CohortSize clients admitted by
+// Config.Scheduler, which keeps the engine's working set O(cohort) over a
+// million-client fleet: folded and departed slots are refilled by the
+// scheduler over the candidates not currently in flight, which is where
+// trace-driven availability and cluster-stratified sampling plug in. Without
+// a scheduler the window is the whole population, as in Run: every idle
+// client is dispatched at each boundary.
+//
+// With Buffer = window, no departures and no staleness discards, every
 // aggregation folds exactly the window it dispatched, so the run replays the
-// synchronous fleet Run bit for bit (TestFleetAsyncFullBufferMatchesRun).
+// synchronous Run bit for bit (TestAsyncFullBufferBitIdenticalToSync,
+// TestFleetAsyncFullBufferMatchesRun).
 //
-// Like RunAsync, this mode replaces the admission machinery wholesale: it
-// rejects straggler policies, tiers, codecs and in-simulator checkpointing —
-// but unlike RunAsync it REQUIRES a scheduler and cohort size (the window is
-// the whole point; a window of the full population is RunAsync's job).
+// Async mode replaces the admission machinery wholesale: it rejects
+// straggler policies, tiers, per-client masks, codecs and in-simulator
+// checkpointing (warm restarts of async state live in the distributed
+// server).
 func (r *Runner) RunFleetAsync(acfg FleetAsyncConfig) (History, error) {
 	n := r.src.NumClients()
 	window := r.cfg.CohortSize
+	if r.cfg.Scheduler == nil {
+		window = n
+	}
 	switch {
 	case r.restored:
 		return History{}, fmt.Errorf("%w: the async simulator does not resume from checkpoints; "+
-			"checkpointed fleet days use the synchronous engine", ErrConfig)
-	case r.cfg.Scheduler == nil || window <= 0:
-		return History{}, fmt.Errorf("%w: RunFleetAsync needs a scheduler and CohortSize — the "+
+			"warm restarts of async state live in the distributed server", ErrConfig)
+	case window < 1:
+		return History{}, fmt.Errorf("%w: a scheduler in async mode needs CohortSize — the "+
 			"scheduled window is its admission policy", ErrConfig)
 	case r.cfg.TierDist != nil:
 		return History{}, fmt.Errorf("%w: tiered partial training is synchronous-only; drop TierDist "+
 			"for async runs", ErrConfig)
 	case r.cfg.CheckpointEvery > 0:
-		return History{}, fmt.Errorf("%w: the async simulator does not checkpoint; checkpointed fleet "+
-			"days use the synchronous engine", ErrConfig)
+		return History{}, fmt.Errorf("%w: the async simulator does not checkpoint; use the synchronous "+
+			"engine or the distributed server for resumable runs", ErrConfig)
 	case r.cfg.Codec != "":
 		return History{}, fmt.Errorf("%w: the async simulator does not simulate uplink codecs; drop "+
 			"Codec for async runs", ErrConfig)
 	case window > n:
 		return History{}, fmt.Errorf("%w: in-flight window %d exceeds the %d-client fleet", ErrConfig, window, n)
-	}
-	if acfg.Buffer < 1 || acfg.Buffer > window {
-		return History{}, fmt.Errorf("%w: async buffer %d must lie in [1, CohortSize=%d] — a larger "+
-			"buffer could never fill from the in-flight window", ErrConfig, acfg.Buffer, window)
+	case acfg.Buffer < 1 || acfg.Buffer > window:
+		return History{}, fmt.Errorf("%w: async buffer %d must lie in [1, %d] — a larger buffer "+
+			"could never fill from the %d-client in-flight window", ErrConfig, acfg.Buffer, window, window)
 	}
 	if _, ok := r.cfg.Straggler.(simtime.FullParticipation); !ok {
 		return History{}, fmt.Errorf("%w: straggler policies do not apply in async mode — slow clients "+
@@ -84,30 +111,10 @@ func (r *Runner) RunFleetAsync(acfg FleetAsyncConfig) (History, error) {
 	r.hist = History{}
 	r.acct = simtime.Accountant{}
 	r.startRound, r.doneRound = 0, 0
-
-	// Same preamble as Run: freeze the non-finetuned part, resolve the
-	// communicated groups/tensors once, project every client's round cost
-	// (descriptor-only — no datasets are touched).
-	if err := r.global.SetFinetunePart(r.cfg.FinetunePart); err != nil {
-		return r.hist, err
-	}
-	commGroups := r.global.TrainableGroupNames()
-	commState, err := r.global.GroupStateTensors(commGroups)
+	stateSize, err := r.beginRun()
 	if err != nil {
 		return r.hist, err
 	}
-	stateSize, err := r.stateBytes(commGroups)
-	if err != nil {
-		return r.hist, err
-	}
-	r.commGroups, r.commState = commGroups, commState
-	if err := r.setupTiers(); err != nil {
-		return r.hist, err
-	}
-	if err := r.cacheProjectedCosts(); err != nil {
-		return r.hist, err
-	}
-	r.maskActive = false
 
 	// In-flight state is indexed by pool position (nil when the client is
 	// not in flight): the buffered update (in owned tensors from a free
@@ -125,12 +132,24 @@ func (r *Runner) RunFleetAsync(acfg FleetAsyncConfig) (History, error) {
 	now := 0.0
 	version := 0
 
-	// pick asks the scheduler for k clients among those not in flight. The
-	// in-flight positions are excluded from the candidate set itself (not
-	// just flagged): availability wrappers overwrite the Available flag from
-	// their own churn state, and a client cannot train two models at once.
+	// pick admits k clients among those not in flight. A scheduler gets the
+	// idle positions as its candidate set itself (not just flagged):
+	// availability wrappers overwrite the Available flag from their own
+	// churn state, and a client cannot train two models at once. Without a
+	// scheduler the window is the whole population, so k is every idle
+	// position.
+	var idle []int
 	pick := func(round, k int) []int {
-		return r.schedule(round, k, func(pos int) bool { return pend[pos] != nil })
+		if r.cfg.Scheduler != nil {
+			return r.schedule(round, k, func(pos int) bool { return pend[pos] != nil })
+		}
+		idle = idle[:0]
+		for pos, fl := range pend {
+			if fl == nil {
+				idle = append(idle, pos)
+			}
+		}
+		return idle
 	}
 
 	dispatch := func(positions []int, round int, at float64) error {
@@ -176,8 +195,7 @@ func (r *Runner) RunFleetAsync(acfg FleetAsyncConfig) (History, error) {
 
 	initial := pick(1, window)
 	if len(initial) == 0 {
-		return r.hist, fmt.Errorf("core: scheduler %s admitted no clients into the initial window",
-			r.cfg.Scheduler.Name())
+		return r.hist, fmt.Errorf("core: scheduler %s admitted no clients into the initial window", r.policy)
 	}
 	if err := dispatch(initial, 1, now); err != nil {
 		return r.hist, err
@@ -196,7 +214,7 @@ func (r *Runner) RunFleetAsync(acfg FleetAsyncConfig) (History, error) {
 		for len(foldedPos) < acfg.Buffer {
 			ev, ok := q.Pop()
 			if !ok {
-				return r.hist, fmt.Errorf("core: fleet aggregation %d starved with %d/%d updates "+
+				return r.hist, fmt.Errorf("core: async aggregation %d starved with %d/%d updates "+
 					"buffered and no client in flight", agg, len(foldedPos), acfg.Buffer)
 			}
 			now = ev.Time
@@ -248,7 +266,7 @@ func (r *Runner) RunFleetAsync(acfg FleetAsyncConfig) (History, error) {
 			usedBufs = append(usedBufs, fl.bufs)
 			pend[pos] = nil
 		}
-		if err := r.aggregate(aggRes, commState, aggLam); err != nil {
+		if err := r.aggregate(aggRes, r.commState, aggLam); err != nil {
 			return r.hist, err
 		}
 		version++
@@ -262,33 +280,13 @@ func (r *Runner) RunFleetAsync(acfg FleetAsyncConfig) (History, error) {
 			r.utility.ObserveUpdate(foldedPos[i], res.meanEntropy, res.trainLoss, res.cost.Total())
 		}
 
-		rec := RoundRecord{
-			Round:           agg,
-			CohortSize:      len(aggRes) + discarded + departed,
-			SchedPolicy:     r.cfg.Scheduler.Name(),
-			Participants:    len(aggRes),
-			TestAccuracy:    math.NaN(),
-			MeanTrainLoss:   lossSum / float64(len(aggRes)),
-			CumTrainSeconds: r.acct.TotalSeconds(),
-			CumUplinkBytes:  r.acct.UplinkBytes(),
+		if err := r.recordRound(agg, len(aggRes)+discarded+departed, len(aggRes), lossSum); err != nil {
+			return r.hist, err
 		}
-		if r.cfg.EvalEvery > 0 && (agg%r.cfg.EvalEvery == 0 || agg == r.cfg.Rounds) {
-			acc, err := metrics.Accuracy(r.global, r.test)
-			if err != nil {
-				return r.hist, fmt.Errorf("core: eval aggregation %d: %w", agg, err)
-			}
-			rec.TestAccuracy = acc
-			if acc > r.hist.BestAccuracy {
-				r.hist.BestAccuracy = acc
-			}
-			r.hist.FinalAccuracy = acc
-		}
-		r.hist.Records = append(r.hist.Records, rec)
-		r.doneRound = agg
 
-		// Refill the window back to size through the scheduler — over the
-		// clients not in flight, which is where trace availability decides
-		// who is reachable and cluster sampling keeps the mix stratified.
+		// Refill the window back to size from the clients not in flight. A
+		// scheduler is where trace availability decides who is reachable and
+		// cluster sampling keeps the mix stratified.
 		if agg < r.cfg.Rounds {
 			if need := window - q.Len(); need > 0 {
 				if err := dispatch(pick(agg+1, need), agg+1, now); err != nil {
@@ -297,8 +295,5 @@ func (r *Runner) RunFleetAsync(acfg FleetAsyncConfig) (History, error) {
 			}
 		}
 	}
-	r.hist.TotalTrainSeconds = r.acct.TotalSeconds()
-	r.hist.TotalUplinkBytes = r.acct.UplinkBytes()
-	r.hist.TotalDownlinkBytes = r.acct.DownlinkBytes()
-	return r.hist, nil
+	return r.finishRun(), nil
 }

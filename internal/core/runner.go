@@ -91,6 +91,9 @@ type Runner struct {
 	// aggregation weighting and how the weighted client average moves the
 	// global model.
 	strat strategy.Strategy
+	// policy is cfg.Scheduler's name ("" without one), read once per run
+	// for the round records.
+	policy string
 
 	// projCost caches each client's projected round cost. Model shape,
 	// device rate and dataset size never change during a run, so the costs
@@ -233,28 +236,8 @@ func (r *Runner) Run() (History, error) {
 		r.doneRound = 0
 	}
 
-	// The paper's FedFT freezes the lower part on the *server's* model too:
-	// group states that never train are never communicated.
-	if err := r.global.SetFinetunePart(r.cfg.FinetunePart); err != nil {
-		return r.hist, err
-	}
-	commGroups := r.global.TrainableGroupNames()
-	// The communicated tensors are live views into the global model and the
-	// groups never change during a run, so they are resolved once here
-	// instead of once per round in aggregate.
-	commState, err := r.global.GroupStateTensors(commGroups)
+	stateSize, err := r.beginRun()
 	if err != nil {
-		return r.hist, err
-	}
-	stateSize, err := r.stateBytes(commGroups)
-	if err != nil {
-		return r.hist, err
-	}
-	r.commGroups, r.commState = commGroups, commState
-	if err := r.setupTiers(); err != nil {
-		return r.hist, err
-	}
-	if err := r.cacheProjectedCosts(); err != nil {
 		return r.hist, err
 	}
 
@@ -273,7 +256,7 @@ func (r *Runner) Run() (History, error) {
 		if err := r.codecRoundTrip(results, round); err != nil {
 			return r.hist, err
 		}
-		if err := r.aggregate(results, commState, nil); err != nil {
+		if err := r.aggregate(results, r.commState, nil); err != nil {
 			return r.hist, err
 		}
 
@@ -296,31 +279,9 @@ func (r *Runner) Run() (History, error) {
 		// reclaim them — this is what keeps fleet runs O(cohort) resident.
 		r.src.Release(participants)
 
-		rec := RoundRecord{
-			Round:           round,
-			CohortSize:      cohortSize,
-			Participants:    len(results),
-			TestAccuracy:    math.NaN(),
-			MeanTrainLoss:   lossSum / float64(len(results)),
-			CumTrainSeconds: r.acct.TotalSeconds(),
-			CumUplinkBytes:  r.acct.UplinkBytes(),
+		if err := r.recordRound(round, cohortSize, len(results), lossSum); err != nil {
+			return r.hist, err
 		}
-		if r.cfg.Scheduler != nil {
-			rec.SchedPolicy = r.cfg.Scheduler.Name()
-		}
-		if r.cfg.EvalEvery > 0 && (round%r.cfg.EvalEvery == 0 || round == r.cfg.Rounds) {
-			acc, err := metrics.Accuracy(r.global, r.test)
-			if err != nil {
-				return r.hist, fmt.Errorf("core: eval round %d: %w", round, err)
-			}
-			rec.TestAccuracy = acc
-			if acc > r.hist.BestAccuracy {
-				r.hist.BestAccuracy = acc
-			}
-			r.hist.FinalAccuracy = acc
-		}
-		r.hist.Records = append(r.hist.Records, rec)
-		r.doneRound = round
 
 		if r.cfg.CheckpointEvery > 0 && (round%r.cfg.CheckpointEvery == 0 || round == r.cfg.Rounds) {
 			if _, err := r.SaveCheckpoint(r.cfg.CheckpointDir); err != nil {
@@ -328,10 +289,79 @@ func (r *Runner) Run() (History, error) {
 			}
 		}
 	}
+	return r.finishRun(), nil
+}
+
+// beginRun is the preamble every engine runs before its first round. The
+// paper's FedFT freezes the lower part on the *server's* model too: group
+// states that never train are never communicated. The communicated tensors
+// are live views into the global model and the groups never change during a
+// run, so they are resolved once here (into commGroups/commState) instead of
+// once per round in aggregate; so are the tiers, every client's projected
+// round cost and the scheduler's name. It returns the whole communicated
+// state's size in bytes.
+func (r *Runner) beginRun() (int64, error) {
+	if err := r.global.SetFinetunePart(r.cfg.FinetunePart); err != nil {
+		return 0, err
+	}
+	commGroups := r.global.TrainableGroupNames()
+	commState, err := r.global.GroupStateTensors(commGroups)
+	if err != nil {
+		return 0, err
+	}
+	stateSize, err := r.stateBytes(commGroups)
+	if err != nil {
+		return 0, err
+	}
+	r.commGroups, r.commState = commGroups, commState
+	r.policy = ""
+	if r.cfg.Scheduler != nil {
+		r.policy = r.cfg.Scheduler.Name()
+	}
+	if err := r.setupTiers(); err != nil {
+		return 0, err
+	}
+	return stateSize, r.cacheProjectedCosts()
+}
+
+// recordRound appends round's record to the History: the clients admitted
+// (cohort) and folded (participants), their mean train loss, the running
+// accounting totals and, on evaluation rounds (every EvalEvery and the
+// last), the global model's test accuracy, which also updates the best and
+// final accuracy.
+func (r *Runner) recordRound(round, cohort, participants int, lossSum float64) error {
+	rec := RoundRecord{
+		Round:           round,
+		CohortSize:      cohort,
+		SchedPolicy:     r.policy,
+		Participants:    participants,
+		TestAccuracy:    math.NaN(),
+		MeanTrainLoss:   lossSum / float64(participants),
+		CumTrainSeconds: r.acct.TotalSeconds(),
+		CumUplinkBytes:  r.acct.UplinkBytes(),
+	}
+	if r.cfg.EvalEvery > 0 && (round%r.cfg.EvalEvery == 0 || round == r.cfg.Rounds) {
+		acc, err := metrics.Accuracy(r.global, r.test)
+		if err != nil {
+			return fmt.Errorf("core: eval round %d: %w", round, err)
+		}
+		rec.TestAccuracy = acc
+		if acc > r.hist.BestAccuracy {
+			r.hist.BestAccuracy = acc
+		}
+		r.hist.FinalAccuracy = acc
+	}
+	r.hist.Records = append(r.hist.Records, rec)
+	r.doneRound = round
+	return nil
+}
+
+// finishRun stamps the accounting totals onto the History and returns it.
+func (r *Runner) finishRun() History {
 	r.hist.TotalTrainSeconds = r.acct.TotalSeconds()
 	r.hist.TotalUplinkBytes = r.acct.UplinkBytes()
 	r.hist.TotalDownlinkBytes = r.acct.DownlinkBytes()
-	return r.hist, nil
+	return r.hist
 }
 
 // maskProvider returns the strategy's per-client mask hook when one is

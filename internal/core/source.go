@@ -88,8 +88,8 @@ func (s eagerSource) Fingerprint() string { return "" }
 // ClientSource instead of an in-memory slice. Synchronous Run acquires each
 // round's participants from the source and releases them after aggregation,
 // so resident client memory is bounded by the cohort and the source's reuse
-// pool. RunAsync requires the eager pool (its in-flight set is the whole
-// population's worst case); fleet-backed overlapping rounds use RunFleetAsync.
+// pool. RunFleetAsync acquires each dispatch the same way and keeps only the
+// in-flight window's update tensors.
 func NewRunnerWithSource(cfg Config, global *models.Model, src ClientSource, test *data.Dataset) (*Runner, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {

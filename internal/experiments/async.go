@@ -95,7 +95,7 @@ func RunAsyncCompare(env *Env, buffer, maxStaleness int, weigherNames []string) 
 		if acfg == nil {
 			hist, err = runner.Run()
 		} else {
-			hist, err = runner.RunAsync(*acfg)
+			hist, err = runner.RunFleetAsync(core.FleetAsyncConfig{AsyncConfig: *acfg})
 		}
 		if err != nil {
 			return fmt.Errorf("experiments: async %s: run: %w", label, err)

@@ -221,38 +221,37 @@ func RunFleetDay(env *Env, opts FleetOptions) (*FleetDayResult, error) {
 		Fingerprint: f.Fingerprint(),
 		EagerBytes:  fleet.EstimateEagerBytes(clients, spec.MinSamples, spec.MaxSamples, env.Suite.Universe.ObsDim),
 	}
-	runName := fmt.Sprintf("fleetday-n%d-k%d-%s", clients, cohort, scheduler.Name())
-	switch {
-	case opts.Eager && opts.Buffer > 0:
-		return nil, fmt.Errorf("%w: the eager baseline runs the synchronous engine only", ErrExperiment)
-	case opts.Eager:
+	var eager []*core.Client
+	if opts.Eager {
 		// The O(N) baseline: every virtual client materialized up front. A
 		// fleet-backed run over the same spec is bit-identical (the sources
-		// agree client for client), so this row exists for the memory contrast.
-		eager, err := f.MaterializeAll()
-		if err != nil {
+		// agree client for client), so this mode exists for the memory contrast.
+		if eager, err = f.MaterializeAll(); err != nil {
 			return nil, err
 		}
-		res.Hist, err = env.RunFL(runName+"-eager", cfg, global, eager, test)
-		if err != nil {
-			return nil, err
-		}
+	}
+	runName := fmt.Sprintf("fleetday-n%d-k%d-%s", clients, cohort, scheduler.Name())
+	switch {
 	case opts.Buffer > 0:
-		runner, err := core.NewRunnerWithSource(cfg, global, f, test)
+		var runner *core.Runner
+		if opts.Eager {
+			runner, err = core.NewRunner(cfg, global, eager, test)
+		} else {
+			runner, err = core.NewRunnerWithSource(cfg, global, f, test)
+		}
 		if err != nil {
 			return nil, err
 		}
 		res.Hist, err = runner.RunFleetAsync(core.FleetAsyncConfig{
 			AsyncConfig: core.AsyncConfig{Buffer: opts.Buffer, MaxStaleness: opts.MaxStaleness},
 		})
-		if err != nil {
-			return nil, err
-		}
+	case opts.Eager:
+		res.Hist, err = env.RunFL(runName+"-eager", cfg, global, eager, test)
 	default:
 		res.Hist, err = env.RunFLSource(runName, cfg, global, f, test)
-		if err != nil {
-			return nil, err
-		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	res.Stats = f.Stats()
 	return res, nil

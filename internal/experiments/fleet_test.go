@@ -97,25 +97,30 @@ func TestRunFleetDayAsync(t *testing.T) {
 }
 
 // TestRunFleetDayEagerMatchesLazy pins the CLI-facing contrast pair: the
-// eager baseline and the fleet-backed day produce identical histories.
+// eager baseline and the fleet-backed day produce identical histories, on
+// the synchronous engine and on the buffered-async one.
 func TestRunFleetDayEagerMatchesLazy(t *testing.T) {
 	env, err := NewEnv(ScaleSmoke, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy, err := RunFleetDay(env, FleetOptions{Clients: 48, Cohort: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eager, err := RunFleetDay(env, FleetOptions{Clients: 48, Cohort: 4, Eager: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lazy.Hist.FinalAccuracy != eager.Hist.FinalAccuracy ||
-		lazy.Hist.TotalTrainSeconds != eager.Hist.TotalTrainSeconds ||
-		lazy.Hist.TotalUplinkBytes != eager.Hist.TotalUplinkBytes {
-		t.Fatalf("eager baseline diverged from fleet-backed day:\nlazy:  %+v\neager: %+v",
-			lazy.Hist, eager.Hist)
+	for _, opts := range []FleetOptions{
+		{Clients: 48, Cohort: 4},
+		{Clients: 18, Buffer: 3, MaxStaleness: 2},
+	} {
+		lazy, err := RunFleetDay(env, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Eager = true
+		eager, err := RunFleetDay(env, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if histDigest(lazy.Hist) != histDigest(eager.Hist) {
+			t.Fatalf("eager baseline diverged from fleet-backed day (buffer %d):\nlazy:  %+v\neager: %+v",
+				opts.Buffer, lazy.Hist, eager.Hist)
+		}
 	}
 }
 

@@ -386,9 +386,61 @@ func TestFleetAsyncTraceDepartures(t *testing.T) {
 	}
 }
 
-// TestRunFleetAsyncValidation pins the mode's fail-fast surface, including
-// the complementary guard: RunAsync's O(pool) engine refuses fleet-backed
-// runners outright.
+// TestFleetAsyncMatchesEager: the buffered-async engine over a lazy fleet —
+// trace availability, cluster sampling, a partial buffer and a staleness cap —
+// produces a History and final model bit-identical to the same run over the
+// fully materialized eager client slice.
+func TestFleetAsyncMatchesEager(t *testing.T) {
+	spec, test, build := fixture(t, 18)
+	spec.Clusters = 3
+	run := func(lazy bool) (core.History, *models.Model) {
+		f, err := fleet.New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := fleet.ParseTrace(fleet.DiurnalTraceText(18))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := fleetCfg(8, 6)
+		cfg.Scheduler = tr.Scheduler(sched.ClusterSampling{Inner: sched.UniformRandom{}})
+		m := build()
+		var r *core.Runner
+		if lazy {
+			r, err = core.NewRunnerWithSource(cfg, m, f, test)
+		} else {
+			eager, merr := f.MaterializeAll()
+			if merr != nil {
+				t.Fatal(merr)
+			}
+			r, err = core.NewRunner(cfg, m, eager, test)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		hist, err := r.RunFleetAsync(core.FleetAsyncConfig{
+			AsyncConfig: core.AsyncConfig{Buffer: 3, MaxStaleness: 2},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hist, m
+	}
+
+	lazyHist, lazyModel := run(true)
+	eagerHist, eagerModel := run(false)
+	if !histEqual(lazyHist, eagerHist) {
+		t.Fatalf("lazy async fleet diverged from eager:\nlazy:  %+v\neager: %+v", lazyHist, eagerHist)
+	}
+	requireSameState(t, lazyModel, eagerModel)
+	if !strings.HasPrefix(lazyHist.Records[0].SchedPolicy, "trace[") {
+		t.Fatalf("policy %q not trace-wrapped", lazyHist.Records[0].SchedPolicy)
+	}
+}
+
+// TestRunFleetAsyncValidation pins the mode's fail-fast surface and that a
+// runner without a scheduler is accepted: its window is the whole
+// population.
 func TestRunFleetAsyncValidation(t *testing.T) {
 	spec, test, build := fixture(t, 8)
 
@@ -411,12 +463,25 @@ func TestRunFleetAsyncValidation(t *testing.T) {
 		return core.FleetAsyncConfig{AsyncConfig: core.AsyncConfig{Buffer: buffer, MaxStaleness: -1}}
 	}
 
+	t.Run("no scheduler", func(t *testing.T) {
+		r := newRunner(func(c *core.Config) { c.Scheduler, c.CohortSize = nil, 0 })
+		hist, err := r.RunFleetAsync(acfg(8))
+		if err != nil {
+			t.Fatalf("full-population window refused: %v", err)
+		}
+		for _, rec := range hist.Records {
+			if rec.Participants != 8 || rec.SchedPolicy != "" {
+				t.Fatalf("aggregation %d: %d participants under policy %q, want all 8 unscheduled",
+					rec.Round, rec.Participants, rec.SchedPolicy)
+			}
+		}
+	})
+
 	cases := []struct {
 		name   string
 		mutate func(*core.Config)
 		acfg   core.FleetAsyncConfig
 	}{
-		{"no scheduler", func(c *core.Config) { c.Scheduler, c.CohortSize = nil, 0 }, acfg(1)},
 		{"zero buffer", nil, acfg(0)},
 		{"buffer exceeds window", nil, acfg(5)},
 		{"window exceeds fleet", func(c *core.Config) { c.CohortSize = 9 }, acfg(1)},
@@ -429,12 +494,4 @@ func TestRunFleetAsyncValidation(t *testing.T) {
 			}
 		})
 	}
-
-	t.Run("runasync refuses fleet source", func(t *testing.T) {
-		r := newRunner(func(c *core.Config) { c.Scheduler, c.CohortSize = nil, 0 })
-		_, err := r.RunAsync(core.AsyncConfig{Buffer: 2, MaxStaleness: -1})
-		if err == nil || !strings.Contains(err.Error(), "RunFleetAsync") {
-			t.Fatalf("err %v, want RunFleetAsync redirect", err)
-		}
-	})
 }
